@@ -7,8 +7,9 @@
 //   * --wallclock — measured-throughput mode for the perf CI gate:
 //     runs each pixel/codec kernel at every SIMD dispatch level this
 //     machine supports and reports Mpix/s and MB/s per kernel plus
-//     SIMD-over-scalar speedups, optionally as JSON
-//     (BENCH_wallclock.json) for scripts/check_wallclock.sh.
+//     SIMD-over-scalar speedups, plus one whole render stage (P=32
+//     engine 96^3 partials at --image^2, in screen Mpix/s), optionally
+//     as JSON (BENCH_wallclock.json) for scripts/check_wallclock.sh.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -25,6 +26,7 @@
 #include "rtc/common/flags.hpp"
 #include "rtc/compress/codec.hpp"
 #include "rtc/core/schedule.hpp"
+#include "rtc/harness/scene.hpp"
 #include "rtc/image/ops.hpp"
 #include "rtc/image/serialize.hpp"
 #include "rtc/simd/dispatch.hpp"
@@ -301,6 +303,20 @@ int wallclock_main(const WallclockOptions& o) {
     measure_level(o, simd::to_string(simd::active_level()), results);
   }
   simd::set_level(detected);  // restore auto dispatch
+
+  // The render stage has no SIMD levels: one row, every partial of the
+  // paper's P=32 operating point, counted in screen pixels rendered.
+  {
+    constexpr int kRanks = 32;
+    const harness::Scene scene = harness::make_scene("engine", 96, o.image);
+    const double mpix = measure_mpix_s(
+        std::int64_t{kRanks} * o.image * o.image, o.repeat, [&] {
+          benchmark::DoNotOptimize(
+              harness::render_scene(scene, kRanks,
+                                    harness::PartitionKind::kSlab1D));
+        });
+    results.push_back(KernelResult{"render_p32/engine96", mpix, mpix * 2.0});
+  }
 
   // SIMD-over-scalar speedups, computable only when the scalar
   // baseline was measured in this same run.

@@ -27,20 +27,17 @@ int main(int argc, char** argv) {
   const harness::Scene scene =
       harness::make_scene(dataset, /*volume_n=*/96, /*image_size=*/512);
 
-  // Render MIP partials per slab (render_partials uses "over", so do
-  // the partition + MIP render by hand here).
-  const render::Vec3 d = scene.camera.direction();
-  const int axis = render::principal_axis(d);
-  const auto bricks = part::slab_1d(scene.volume.bounds(), ranks, axis);
-  const double dir[3] = {d.x, d.y, d.z};
-  const auto order = part::visibility_order(bricks, dir);
-  std::vector<img::Image> partials;
-  for (int r = 0; r < ranks; ++r)
-    partials.push_back(render::render_raycast(
-        scene.volume, scene.tf,
-        bricks[static_cast<std::size_t>(
-            order[static_cast<std::size_t>(r)])],
-        scene.camera, render::RenderMode::kMip));
+  // Render MIP partials per slab (render_partials uses "over", so go
+  // through the render loop with the mode set here).
+  const int axis = render::principal_axis(scene.camera.direction());
+  const std::vector<img::Image> partials =
+      harness::render_bricks(
+          scene.volume, scene.tf, scene.camera,
+          harness::depth_ordered(
+              part::slab_1d(scene.volume.bounds(), ranks, axis),
+              scene.camera),
+          harness::Renderer::kRaycast, render::RenderMode::kMip)
+          .partials;
 
   const img::Image reference =
       img::composite_reference(partials, img::BlendMode::kMax);

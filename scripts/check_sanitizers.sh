@@ -9,6 +9,9 @@
 # exactly where an off-by-one reads past a span. The quality-ladder
 # suite runs in every mode: the approximate blend's skip loop and the
 # progressive down/upsample resamplers index pixel spans directly.
+# The render suites run in every mode too: partials render on one
+# thread per core (TSan), and the shear-warp's footprint-bounded warp
+# indexes its intermediate image directly (ASan/UBSan).
 #
 # Usage: scripts/check_sanitizers.sh [thread|address|undefined|all]
 # (default: all). $BUILD_DIR overrides the build-directory prefix
@@ -19,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
-THREAD_TESTS="world_test|frame_test|chaos_test|wire_test|methods_test|fuzz_corpus_test|membership_test|recompose_test|breaker_test|executor_test|hierarchical_test|quality_test"
+THREAD_TESTS="world_test|frame_test|chaos_test|wire_test|methods_test|fuzz_corpus_test|membership_test|recompose_test|breaker_test|executor_test|hierarchical_test|quality_test|render_test|shearwarp_golden_test|harness_test|render_loop_test"
 MEMORY_TESTS="$THREAD_TESTS|simd_kernels_test|simd_dispatch_test|ops_test|codec_test|trle_test"
 MEMORY_TARGETS="simd_kernels_test simd_dispatch_test ops_test codec_test trle_test"
 
@@ -35,7 +38,8 @@ run_mode() {
   cmake --build "$dir" -j --target \
         world_test frame_test chaos_test wire_test methods_test \
         fuzz_corpus_test membership_test recompose_test breaker_test \
-        executor_test hierarchical_test quality_test $extra_targets
+        executor_test hierarchical_test quality_test render_test \
+        shearwarp_golden_test harness_test render_loop_test $extra_targets
   # Same per-test timeout CI uses: a sanitizer-found deadlock should
   # fail the run, not hang it.
   (cd "$dir" && ctest --output-on-failure -j "$(nproc)" --timeout 120 \

@@ -15,38 +15,29 @@
 
 namespace rtc::frames {
 
-harness::RenderedScene render_view(const ViewSpec& view, int ranks,
+harness::RenderedScene render_view(const harness::Scene& scene,
+                                   const ViewSpec& view, int ranks,
                                    int& axis_out) {
-  const harness::Scene scene =
-      harness::make_scene(view.dataset, view.volume_n, view.image_size,
-                          view.yaw_deg, view.pitch_deg);
-  const render::Vec3 d = scene.camera.direction();
-  axis_out = render::principal_axis(d);
+  RTC_CHECK_MSG(scene.name == view.dataset &&
+                    scene.volume.nx() == view.volume_n &&
+                    scene.camera.width == view.image_size,
+                "view does not match the scene");
+  render::OrthoCamera cam = scene.camera;
+  cam.yaw_deg = view.yaw_deg;
+  cam.pitch_deg = view.pitch_deg;
+  axis_out = render::principal_axis(cam.direction());
   const auto bricks = part::balanced_slab_1d(scene.volume, scene.tf,
                                              ranks, axis_out);
-  const double dir[3] = {d.x, d.y, d.z};
-  const auto order = part::visibility_order(bricks, dir);
+  return harness::render_bricks(scene.volume, scene.tf, cam,
+                                harness::depth_ordered(bricks, cam),
+                                harness::renderer_named(view.renderer));
+}
 
-  harness::RenderedScene rs;
-  for (int r = 0; r < ranks; ++r) {
-    const vol::Brick& brick =
-        bricks[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])];
-    rs.bricks.push_back(brick);
-    rs.solid_voxels.push_back(
-        part::solid_voxels(scene.volume, scene.tf, brick));
-    rs.total_voxels.push_back(brick.voxels());
-    if (view.renderer == "raycast") {
-      rs.partials.push_back(render::render_raycast(scene.volume, scene.tf,
-                                                   brick, scene.camera));
-    } else if (view.renderer == "splat") {
-      rs.partials.push_back(render::render_splat(scene.volume, scene.tf,
-                                                 brick, scene.camera));
-    } else {
-      rs.partials.push_back(render::render_shearwarp(
-          scene.volume, scene.tf, brick, scene.camera));
-    }
-  }
-  return rs;
+harness::RenderedScene render_view(const ViewSpec& view, int ranks,
+                                   int& axis_out) {
+  return render_view(
+      harness::make_scene(view.dataset, view.volume_n, view.image_size),
+      view, ranks, axis_out);
 }
 
 namespace {
@@ -99,6 +90,9 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
       comm::ResiliencePolicy::PeerLoss::kRecompose;
   int ranks_eff = cfg.ranks;
   std::string method_eff = cfg.comp.method;
+  // Only the camera moves along the sweep: build the volume once.
+  const harness::Scene scene =
+      harness::make_scene(cfg.dataset, cfg.volume_n, cfg.image_size);
 
   // Quality ladder: one controller for the whole sequence, stepped by
   // the previous frame's pressure (deadline misses, stragglers, peer
@@ -115,7 +109,7 @@ SequenceResult run_sequence(const PipelineConfig& cfg) {
     FrameResult fr;
     fr.yaw_deg = yaw;
     const harness::RenderedScene rs =
-        render_view(sweep_view(cfg, yaw), ranks_eff, fr.axis);
+        render_view(scene, sweep_view(cfg, yaw), ranks_eff, fr.axis);
     fr.render_time = harness::render_stage_time(rs);
 
     // Pick this frame's rung and re-enforce the error contract against

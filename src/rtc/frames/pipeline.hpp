@@ -51,6 +51,14 @@ struct ViewSpec {
 [[nodiscard]] harness::RenderedScene render_view(const ViewSpec& view,
                                                  int ranks, int& axis_out);
 
+/// render_view over a scene built once for many views: `scene` (from
+/// make_scene for the view's dataset, volume and image size) supplies
+/// the volume, transfer function and camera; `view` only turns the
+/// camera to its yaw and pitch.
+[[nodiscard]] harness::RenderedScene render_view(const harness::Scene& scene,
+                                                 const ViewSpec& view,
+                                                 int ranks, int& axis_out);
+
 struct PipelineConfig {
   // Scene: a camera sweep over one of the paper's datasets.
   std::string dataset = "engine";

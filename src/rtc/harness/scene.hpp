@@ -12,6 +12,7 @@
 
 #include "rtc/image/image.hpp"
 #include "rtc/render/camera.hpp"
+#include "rtc/render/renderer.hpp"
 #include "rtc/volume/transfer.hpp"
 #include "rtc/volume/volume.hpp"
 
@@ -54,6 +55,29 @@ struct RenderedScene {
 [[nodiscard]] RenderedScene render_scene(const Scene& scene, int ranks,
                                          PartitionKind kind,
                                          bool shearwarp = true);
+
+enum class Renderer { kShearWarp, kRaycast, kSplat };
+
+/// "raycast" and "splat" name those renderers; any other name is the
+/// paper's shear-warp.
+[[nodiscard]] Renderer renderer_named(const std::string& name);
+
+/// `bricks` sorted front to back for rays along cam.direction().
+[[nodiscard]] std::vector<vol::Brick> depth_ordered(
+    const std::vector<vol::Brick>& bricks, const render::OrthoCamera& cam);
+
+/// The render stage's one per-brick loop: renders depth-ordered brick i
+/// into slot i, on min(bricks, hardware threads) threads that each
+/// take the next index from a shared counter. The result equals serial
+/// per-brick calls in order. A worker's exception is rethrown here
+/// (the lowest failing brick's, as a serial loop would throw it).
+[[nodiscard]] RenderedScene render_bricks(const vol::Volume& volume,
+                                          const vol::TransferFunction& tf,
+                                          const render::OrthoCamera& cam,
+                                          std::vector<vol::Brick> bricks,
+                                          Renderer renderer,
+                                          render::RenderMode mode =
+                                              render::RenderMode::kComposite);
 
 /// Virtual render-stage time: the slowest rank under a two-term cost
 /// (per-solid-voxel compositing work + per-voxel traversal work) —

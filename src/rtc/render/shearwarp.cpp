@@ -155,9 +155,51 @@ img::Image render_shearwarp(const vol::Volume& v,
   const double det = su_col.x * sv_col.y - sv_col.x * su_col.y;
   RTC_CHECK_MSG(std::abs(det) > 1e-12, "degenerate warp");
 
+  // Footprint: only screen pixels with a non-zero bilinear tap can be
+  // non-blank (the weights are >= 0, so four zero taps quantize to
+  // kBlank). Bound the intermediate's non-zero texels, dilate by the
+  // taps' reach (a texel feeds samples with uu in (iu - 1, iu + 1)),
+  // map the box's corners forward through the warp and pad by 2 px
+  // against rounding; everything outside stays kBlank.
+  int tu_lo = wu, tu_hi = -1, tv_lo = hv, tv_hi = -1;
+  for (int vi = 0; vi < hv; ++vi) {
+    const img::GrayAF* row = acc.data() + static_cast<std::size_t>(vi) *
+                                              static_cast<std::size_t>(wu);
+    for (int ui = 0; ui < wu; ++ui) {
+      if (row[ui].v == 0.0f && row[ui].a == 0.0f) continue;
+      tu_lo = std::min(tu_lo, ui);
+      tu_hi = std::max(tu_hi, ui);
+      tv_lo = std::min(tv_lo, vi);
+      tv_hi = std::max(tv_hi, vi);
+    }
+  }
   img::Image out(cam.width, cam.height);
-  for (int iy = 0; iy < cam.height; ++iy) {
-    for (int ix = 0; ix < cam.width; ++ix) {
+  if (tu_hi < 0 || out.pixel_count() == 0) return out;
+
+  double x_min = 1e300, x_max = -1e300, y_min = 1e300, y_max = -1e300;
+  for (const double uu : {tu_lo - 1.0, tu_hi + 1.0}) {
+    for (const double vv : {tv_lo - 1.0, tv_hi + 1.0}) {
+      const double x = origin[0] - 0.5 + su_col.x * (uu - offu) +
+                       sv_col.x * (vv - offv);
+      const double y = origin[1] - 0.5 + su_col.y * (uu - offu) +
+                       sv_col.y * (vv - offv);
+      x_min = std::min(x_min, x);
+      x_max = std::max(x_max, x);
+      y_min = std::min(y_min, y);
+      y_max = std::max(y_max, y);
+    }
+  }
+  // Clamping can only add pixels to the loop, never drop a non-blank
+  // one, and the loop computes every pixel it visits exactly.
+  auto clamp_px = [](double p, int size) {
+    return static_cast<int>(std::clamp(p, 0.0, size - 1.0));
+  };
+  const int x0 = clamp_px(std::floor(x_min) - 2.0, cam.width);
+  const int x1 = clamp_px(std::ceil(x_max) + 2.0, cam.width);
+  const int y0 = clamp_px(std::floor(y_min) - 2.0, cam.height);
+  const int y1 = clamp_px(std::ceil(y_max) + 2.0, cam.height);
+  for (int iy = y0; iy <= y1; ++iy) {
+    for (int ix = x0; ix <= x1; ++ix) {
       const double rx = ix + 0.5 - origin[0];
       const double ry = iy + 0.5 - origin[1];
       const double uu = (sv_col.y * rx - sv_col.x * ry) / det + offu;

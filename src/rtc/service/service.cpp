@@ -155,6 +155,9 @@ ServiceResult run_service(const ServiceConfig& cfg) {
   const bool gather = cfg.comp.gather || cfg.comp.quality.engaged();
   int ranks_eff = cfg.ranks;
   std::string method_eff = cfg.comp.method;
+  // Every submission views the same volume; only the camera moves.
+  const harness::Scene scene =
+      harness::make_scene(cfg.dataset, cfg.volume_n, cfg.image_size);
 
   const auto all_idle = [&sessions]() {
     for (const Session& s : sessions)
@@ -288,7 +291,7 @@ ServiceResult run_service(const ServiceConfig& cfg) {
     view.pitch_deg = batch.lead.pitch_deg;
     view.renderer = cfg.renderer;
     const harness::RenderedScene rs =
-        frames::render_view(view, ranks_eff, sub.axis);
+        frames::render_view(scene, view, ranks_eff, sub.axis);
     sub.render_time = harness::render_stage_time(rs);
 
     harness::CompositionConfig c = cfg.comp;

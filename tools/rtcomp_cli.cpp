@@ -549,9 +549,9 @@ int cmd_render(const Args& a) {
       dataset, a.get_int("volume", 96), a.get_int("image", 512),
       a.get_double("yaw", 30.0), a.get_double("pitch", 20.0));
 
-  // Partition + render (by hand so renderer/mode are selectable).
-  const render::Vec3 d = scene.camera.direction();
-  const int axis = render::principal_axis(d);
+  // Partitioned here, not by render_scene: that one fixes the renderer
+  // and the mode, which are selectable here.
+  const int axis = render::principal_axis(scene.camera.direction());
   std::vector<vol::Brick> bricks;
   if (partition == "grid") {
     bricks = part::grid_2d(scene.volume.bounds(), ranks, (axis + 1) % 3,
@@ -561,25 +561,13 @@ int cmd_render(const Args& a) {
   } else {
     bricks = part::slab_1d(scene.volume.bounds(), ranks, axis);
   }
-  const double dir[3] = {d.x, d.y, d.z};
-  const auto order = part::visibility_order(bricks, dir);
-  const render::RenderMode rmode =
-      mip ? render::RenderMode::kMip : render::RenderMode::kComposite;
-  std::vector<img::Image> partials;
-  for (int r = 0; r < ranks; ++r) {
-    const vol::Brick& brick =
-        bricks[static_cast<std::size_t>(order[static_cast<std::size_t>(r)])];
-    if (renderer == "raycast") {
-      partials.push_back(render::render_raycast(scene.volume, scene.tf,
-                                                brick, scene.camera, rmode));
-    } else if (renderer == "splat") {
-      partials.push_back(render::render_splat(scene.volume, scene.tf,
-                                              brick, scene.camera, rmode));
-    } else {
-      partials.push_back(render::render_shearwarp(
-          scene.volume, scene.tf, brick, scene.camera, rmode));
-    }
-  }
+  const std::vector<img::Image> partials =
+      harness::render_bricks(
+          scene.volume, scene.tf, scene.camera,
+          harness::depth_ordered(bricks, scene.camera),
+          harness::renderer_named(renderer),
+          mip ? render::RenderMode::kMip : render::RenderMode::kComposite)
+          .partials;
 
   harness::CompositionConfig cfg;
   cfg.method = method;

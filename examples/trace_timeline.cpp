@@ -1,6 +1,6 @@
-// Exports a Chrome-trace (chrome://tracing / Perfetto) timeline of one
-// composition run's virtual time: per-rank tracks of send startups,
-// receive waits and over-composites, with step markers. Handy for
+// Exports a trace-event (chrome://tracing / Perfetto) timeline of one
+// composition run: per-rank tracks of obs spans — send startups,
+// receive waits, blends and codec stages — with step markers. Handy for
 // *seeing* why rotate-tiling beats binary-swap — the receive-wait gaps
 // shrink as blocks pipeline.
 //
@@ -28,27 +28,26 @@ int main(int argc, char** argv) {
   harness::CompositionConfig cfg;
   cfg.method = method;
   cfg.initial_blocks = blocks;
-  cfg.record_events = true;
+  cfg.record_spans = true;
   const harness::CompositionRun run =
       harness::run_composition(cfg, partials);
-  harness::write_chrome_trace(run.stats, out);
+  harness::write_perfetto_trace(run.stats, out);
 
   // Per-rank time budget: where does the virtual time go?
   harness::Table t({"rank", "send [s]", "recv-wait [s]", "over [s]",
                     "final clock [s]"});
   for (std::size_t r = 0; r < run.stats.ranks.size(); ++r) {
     double send = 0, wait = 0, over = 0;
-    for (const comm::Event& e : run.stats.ranks[r].events) {
-      const double d = e.end - e.start;
-      switch (e.kind) {
-        case comm::Event::Kind::kSend:
-          send += d;
+    for (const obs::Span& s : run.stats.ranks[r].spans) {
+      switch (s.kind) {
+        case obs::SpanKind::kSend:
+          send += s.v_duration();
           break;
-        case comm::Event::Kind::kRecvWait:
-          wait += d;
+        case obs::SpanKind::kRecvWait:
+          wait += s.v_duration();
           break;
-        case comm::Event::Kind::kOver:
-          over += d;
+        case obs::SpanKind::kBlend:
+          over += s.v_duration();
           break;
         default:
           break;
@@ -61,6 +60,6 @@ int main(int argc, char** argv) {
   std::cout << method << " on " << ranks << " ranks, " << blocks
             << " initial blocks — composition " << run.time << " s\n\n";
   t.print(std::cout);
-  std::cout << "\nwrote " << out << " (load in chrome://tracing)\n";
+  std::cout << "\nwrote " << out << " (load in chrome://tracing or ui.perfetto.dev)\n";
   return 0;
 }

@@ -9,16 +9,6 @@
 
 namespace rtc::comm {
 
-/// One virtual-time interval on a rank, for timeline export.
-struct Event {
-  enum class Kind { kSend, kRecvWait, kCompute, kOver };
-  Kind kind = Kind::kCompute;
-  double start = 0.0;
-  double end = 0.0;
-  int peer = -1;           ///< other rank for send/recv, else -1
-  std::int64_t bytes = 0;  ///< payload bytes (send/recv) or pixels
-};
-
 struct RankStats {
   std::int64_t messages_sent = 0;
   std::int64_t bytes_sent = 0;
@@ -78,9 +68,6 @@ struct RankStats {
   /// compositors mark the end of each communication step so benches
   /// can print per-step timing next to the per-step model rows.
   std::vector<std::pair<int, double>> marks;
-  /// Virtual-time intervals, only populated when the World has
-  /// set_record_events(true).
-  std::vector<Event> events;
   /// Observability spans (obs layer), only populated when the World has
   /// set_trace({.enabled = true}). Drained from the rank's ring after
   /// the rank threads join.

@@ -82,10 +82,12 @@ class Pipelined final : public Compositor {
       const std::span<const img::GrayA8> mine = partial.view(s);
       const int initiator = mod(recv_block_id + 1, p);
       const bool at_seam = (r == 0 && initiator != 0);
+      const std::int64_t w0 =
+          comm.trace().enabled() ? obs::wall_now_ns() : -1;
       if (opt.blend == img::BlendMode::kMax) {
         // Commutative merge: no seam, no segments, any order works.
         img::max_in_place(state.back, mine);
-        comm.charge_over(s.size());
+        comm.charge_over(s.size(), t, w0);
       } else if (exact_ && at_seam) {
         // Start the front segment rather than fusing across the seam.
         RTC_CHECK(state.front.empty());
@@ -93,12 +95,12 @@ class Pipelined final : public Compositor {
       } else if (!state.front.empty()) {
         // Post-seam (exact mode): extend the front segment behind.
         img::over_in_place_back(state.front, mine);
-        comm.charge_over(s.size());
+        comm.charge_over(s.size(), t, w0);
       } else {
         // Pre-seam, or loose mode: the arrival is in front of me in
         // ring order, so my pixels go behind it.
         img::over_in_place_back(state.back, mine);
-        comm.charge_over(s.size());
+        comm.charge_over(s.size(), t, w0);
       }
 
       comm.mark(t);
@@ -106,8 +108,10 @@ class Pipelined final : public Compositor {
         // Block recv_block_id == r is complete; join segments.
         RTC_CHECK(recv_block_id == r);
         if (!state.front.empty()) {
+          const std::int64_t wj =
+              comm.trace().enabled() ? obs::wall_now_ns() : -1;
           img::over_in_place_back(state.front, state.back);
-          comm.charge_over(s.size());
+          comm.charge_over(s.size(), t, wj);
           final_pixels = std::move(state.front);
         } else {
           final_pixels = std::move(state.back);

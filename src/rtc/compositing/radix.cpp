@@ -19,6 +19,7 @@
 #include "rtc/compositing/wire.hpp"
 #include "rtc/frames/coherence.hpp"
 #include "rtc/image/ops.hpp"
+#include "rtc/obs/span.hpp"
 
 namespace rtc::compositing {
 
@@ -120,10 +121,12 @@ class RadixK final : public Compositor {
       auto fold = [&](int j, bool front) {
         if (!ok[static_cast<std::size_t>(j)]) return;     // lost: blank
         if (blank[static_cast<std::size_t>(j)]) return;   // identity
+        const std::int64_t w0 =
+            comm.trace().enabled() ? obs::wall_now_ns() : -1;
         img::blend_in_place(buf.view(mine),
                             arrived[static_cast<std::size_t>(j)],
                             opt.blend, front);
-        comm.charge_over(mine.size());
+        comm.charge_over(mine.size(), tag, w0);
       };
       for (int j = digit - 1; j >= 0; --j) fold(j, /*front=*/true);
       for (int j = digit + 1; j < g; ++j) fold(j, /*front=*/false);

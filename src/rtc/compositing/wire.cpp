@@ -197,7 +197,8 @@ void decode_blend_block(comm::Comm& comm, int tag,
                        codec_time(comm, dst.size()),
                        static_cast<std::int64_t>(bytes.size()), pixels, w0);
     }
-    comm.charge_over(st.blended);
+    // Zero wall interval: the kDecodeBlend span above timed the blend.
+    comm.charge_over(st.blended, tag);
     if (st.skipped > 0) comm.note_approx(st.skipped);
     return;
   }
@@ -215,7 +216,8 @@ void decode_blend_block(comm::Comm& comm, int tag,
                      codec_time(comm, dst.size()),
                      static_cast<std::int64_t>(bytes.size()), pixels, w0);
   }
-  comm.charge_over(static_cast<std::int64_t>(dst.size()));
+  // Zero wall interval: the kDecodeBlend span above timed the blend.
+  comm.charge_over(static_cast<std::int64_t>(dst.size()), tag);
 }
 
 }  // namespace

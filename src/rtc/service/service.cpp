@@ -69,11 +69,6 @@ void merge_rank(comm::RankStats& dst, const comm::RankStats& src,
   if (v_shift + src.clock > dst.clock) dst.clock = v_shift + src.clock;
   for (const auto& [id, t] : src.marks)
     dst.marks.emplace_back(id, v_shift + t);
-  for (comm::Event e : src.events) {
-    e.start += v_shift;
-    e.end += v_shift;
-    dst.events.push_back(e);
-  }
   for (obs::Span s : src.spans) {
     s.v_begin += v_shift;
     s.v_end += v_shift;

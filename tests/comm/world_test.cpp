@@ -151,7 +151,7 @@ TEST(World, ChargeOverUsesToPerPixel) {
   NetworkModel m;
   m.to_pixel = 0.25;
   World world(1, m);
-  const RunResult r = world.run([](Comm& c) { c.charge_over(8); });
+  const RunResult r = world.run([](Comm& c) { c.charge_over(8, /*step=*/1); });
   EXPECT_DOUBLE_EQ(r.makespan(), 2.0);
   EXPECT_EQ(r.stats.ranks[0].pixels_composited, 8);
 }

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "rtc/color/render.hpp"
 #include "rtc/comm/fault.hpp"
 #include "rtc/comm/frame.hpp"
 #include "rtc/comm/membership.hpp"
@@ -149,27 +148,6 @@ TEST(FuzzCorpus, CodecDecodersRejectMutants) {
       });
     }
   }
-}
-
-TEST(FuzzCorpus, ColorTrleDecoderRejectsMutants) {
-  const int w = 32, h = 8;
-  std::vector<color::RgbA8> px(static_cast<std::size_t>(w) * h);
-  Lcg rng(0xc0102);
-  for (auto& p : px) {
-    if (rng.below(2) == 0) {
-      p = color::kBlank;
-    } else {
-      p.a = static_cast<std::uint8_t>(1 + rng.below(255));
-      p.r = static_cast<std::uint8_t>(rng.below(p.a + 1u));
-      p.g = static_cast<std::uint8_t>(rng.below(p.a + 1u));
-      p.b = static_cast<std::uint8_t>(rng.below(p.a + 1u));
-    }
-  }
-  const std::vector<std::byte> valid = color::trle_encode_color(px, w, 0);
-  std::vector<color::RgbA8> out(px.size());
-  expect_rejects_cleanly(valid, 0x5eed0100, [&](const auto& m) {
-    color::trle_decode_color(m, out, w, 0);
-  });
 }
 
 TEST(FuzzCorpus, RawPixelDeserializerRejectsMutants) {

@@ -83,6 +83,9 @@ TEST(Obs, SpansAreWellFormedAndOrdered) {
         EXPECT_GE(s.peer, 0);
         EXPECT_GE(s.step, 1);
       }
+      if (s.kind == obs::SpanKind::kBlend) {
+        EXPECT_GE(s.step, 1);
+      }
     }
     // Every rank both encodes and decodes under rt_2n with a codec.
     bool saw_encode = false, saw_decode_blend = false;
@@ -92,6 +95,71 @@ TEST(Obs, SpansAreWellFormedAndOrdered) {
     }
     EXPECT_TRUE(saw_encode);
     EXPECT_TRUE(saw_decode_blend);
+  }
+}
+
+/// Span kinds whose interval is exactly one advance of the rank's
+/// virtual clock (send, recv, compute/charge_span, charge_over). The
+/// others are instants or, like kMembership, wrap such spans.
+bool advances_clock(obs::SpanKind k) {
+  switch (k) {
+    case obs::SpanKind::kSend:
+    case obs::SpanKind::kRecvWait:
+    case obs::SpanKind::kCompute:
+    case obs::SpanKind::kBlend:
+    case obs::SpanKind::kEncode:
+    case obs::SpanKind::kDecode:
+    case obs::SpanKind::kDecodeBlend:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// The compositors that blend through wire.cpp (rt_2n, bswap), the
+// pipelined ring (pp_exact) and radix-k each charge their own blends.
+const char* const kTracedMethods[] = {"rt_2n", "bswap", "pp_exact",
+                                      "radix"};
+
+harness::CompositionRun traced_run(const char* method) {
+  harness::CompositionConfig cfg = traced_config();
+  cfg.method = method;
+  return harness::run_composition(cfg, test_partials(4));
+}
+
+TEST(Obs, BlendSpansCarryTheirStepInEveryCompositor) {
+  for (const char* method : kTracedMethods) {
+    const harness::CompositionRun run = traced_run(method);
+    int blends = 0;
+    for (const comm::RankStats& r : run.stats.ranks) {
+      for (const obs::Span& s : r.spans) {
+        if (s.kind != obs::SpanKind::kBlend) continue;
+        ++blends;
+        EXPECT_GE(s.step, 1) << method;
+        EXPECT_GE(s.wall_end_ns, s.wall_begin_ns) << method;
+      }
+    }
+    EXPECT_GT(blends, 0) << method;
+  }
+}
+
+TEST(Obs, ClockAdvancingSpansAddUpToAtMostTheClock) {
+  // The intervals that advance a rank's clock are disjoint by
+  // construction, so they sum to at most its final clock.
+  for (const char* method : kTracedMethods) {
+    const harness::CompositionRun run = traced_run(method);
+    for (const comm::RankStats& r : run.stats.ranks) {
+      double busy = 0.0;
+      double prev_end = 0.0;
+      for (const obs::Span& s : r.spans) {
+        if (!advances_clock(s.kind)) continue;
+        EXPECT_GE(s.v_begin, prev_end) << method;
+        prev_end = s.v_end;
+        busy += s.v_duration();
+      }
+      EXPECT_GT(busy, 0.0) << method;
+      EXPECT_LE(busy, r.clock + 1e-9) << method;
+    }
   }
 }
 

@@ -9,7 +9,6 @@
 //                   [--simd auto|scalar|sse2|avx2] [--blend-threads N]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //                   [--group-size G] [--hier-intra M] [--hier-inter M]
-//                   [--trace timeline.json]
 //                   [--trace-out trace.json] [--metrics-out metrics.txt]
 //                   [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
 //                   [--fault-dup P] [--fault-delay P]
@@ -43,8 +42,9 @@
 //                   [--ts 0.0035] [--tp 1e-7] [--to 2.5e-7]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //
-// Flags take `--key value` or `--key=value` form. Malformed numeric
-// values are a usage error naming the flag — never an unhandled
+// Flags take `--key value` or `--key=value` form. A flag the
+// subcommand does not know, or a malformed numeric value, is a usage
+// error naming the flag — never silently ignored, never an unhandled
 // std::stoi throw.
 //
 // Exit codes: 0 ok, 2 usage error.
@@ -56,6 +56,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "rtc/common/flags.hpp"
@@ -67,9 +68,34 @@ namespace {
 
 using namespace rtc;
 
+using FlagSet = std::set<std::string>;
+
+// The flags each subcommand reads; render's set covers its single-shot,
+// --frames and --service modes.
+const FlagSet kRenderFlags = {
+    "admission", "arrival-rate", "blend-threads", "blocks",
+    "breaker-cooldown", "circuit-breaker-threshold", "codec", "dataset",
+    "deadline", "degrade-before-shed", "executor", "fault-corrupt",
+    "fault-crash-after", "fault-crash-at", "fault-crash-rank", "fault-delay",
+    "fault-delay-mean", "fault-drop", "fault-dup", "fault-frame",
+    "fault-jitter", "fault-link", "fault-seed", "fault-slow",
+    "fault-submission", "frames", "group-size", "hedge", "hier-inter",
+    "hier-intra", "image", "max-error", "max-in-flight", "method",
+    "metrics-out", "mip", "net", "no-coherence", "on-peer-loss", "out",
+    "partition", "pitch", "priority-classes", "progressive", "quality",
+    "quant", "queue-cap", "ranks", "relay", "renderer", "requests",
+    "retries", "rto", "saturation", "service", "session-deadline",
+    "sessions", "simd", "straggler-multiple", "straggler-window", "stream",
+    "sweep", "topology", "trace-out", "traffic-seed", "volume", "workers",
+    "yaw", "yaw-step"};
+const FlagSet kScheduleFlags = {"ranks", "blocks", "variant"};
+const FlagSet kPredictFlags = {"ranks", "blocks", "pixels", "ts",
+                               "tp",    "to",     "topology"};
+const FlagSet kNoFlags = {};
+
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, const FlagSet& known) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -77,7 +103,12 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
-      if (const std::size_t eq = key.find('='); eq != std::string::npos) {
+      const std::size_t eq = key.find('=');
+      if (known.count(key.substr(0, eq)) == 0) {
+        std::cerr << "unknown flag --" << key.substr(0, eq) << "\n";
+        std::exit(2);
+      }
+      if (eq != std::string::npos) {
         kv_[key.substr(0, eq)] = key.substr(eq + 1);
         continue;
       }
@@ -575,7 +606,6 @@ int cmd_render(const Args& a) {
   cfg.codec = a.get("codec", "");
   cfg.blend = mip ? img::BlendMode::kMax : img::BlendMode::kOver;
   cfg.gather = true;
-  cfg.record_events = a.has("trace");
   cfg.record_spans = a.has("trace-out") || a.has("metrics-out");
   if (a.get("net", "sp2-hps") == "paper-example")
     cfg.net = comm::paper_example_model();
@@ -632,10 +662,6 @@ int cmd_render(const Args& a) {
   if (!out.empty()) {
     img::write_pgm(run.image, out);
     std::cout << "wrote " << out << "\n";
-  }
-  if (a.has("trace")) {
-    harness::write_chrome_trace(run.stats, a.get("trace", ""));
-    std::cout << "wrote " << a.get("trace", "") << "\n";
   }
   if (a.has("trace-out")) {
     harness::write_perfetto_trace(run.stats, a.get("trace-out", ""));
@@ -713,16 +739,23 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
+  const FlagSet* known = cmd == "info"       ? &kNoFlags
+                         : cmd == "render"   ? &kRenderFlags
+                         : cmd == "schedule" ? &kScheduleFlags
+                         : cmd == "predict"  ? &kPredictFlags
+                                             : nullptr;
+  if (known == nullptr) {
+    std::cerr << "unknown command: " << cmd << "\n";
+    return 2;
+  }
+  const Args args(argc, argv, 2, *known);
   try {
     if (cmd == "info") return cmd_info();
     if (cmd == "render") return cmd_render(args);
     if (cmd == "schedule") return cmd_schedule(args);
-    if (cmd == "predict") return cmd_predict(args);
+    return cmd_predict(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "unknown command: " << cmd << "\n";
-  return 2;
 }

@@ -4,7 +4,7 @@
 //                       [--volume N] [--image S] [--paper-net]
 //                       [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //                       [--executor pooled|threaded] [--group-size G]
-//                       [--simd auto|scalar|sse2|avx2]
+//                       [--simd auto|scalar|avx2]
 // plus observability outputs (see docs/observability.md):
 //                       [--json golden.json]      virtual-time numbers,
 //                         17 significant digits — the CI golden gate
@@ -115,7 +115,7 @@ inline BenchOptions parse_options(int argc, char** argv,
       const std::string v = next();
       if (!simd::request_level(v)) {
         std::cerr << "unknown --simd: " << v
-                  << " (expected auto, scalar, sse2 or avx2)\n";
+                  << " (expected auto, scalar or avx2)\n";
         std::exit(2);
       }
     } else if (a == "--paper-net") {

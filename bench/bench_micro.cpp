@@ -274,8 +274,6 @@ int wallclock_main(const WallclockOptions& o) {
   if (o.simd.empty()) {
     // Every level this machine can run, scalar first (the baseline).
     levels.push_back(simd::SimdLevel::kScalar);
-    if (detected >= simd::SimdLevel::kSse2)
-      levels.push_back(simd::SimdLevel::kSse2);
     if (detected >= simd::SimdLevel::kAvx2)
       levels.push_back(simd::SimdLevel::kAvx2);
   } else if (o.simd == "auto") {
@@ -284,7 +282,7 @@ int wallclock_main(const WallclockOptions& o) {
     const auto lvl = simd::parse_simd_level(o.simd);
     if (!lvl) {
       std::cerr << "unknown --simd: " << o.simd
-                << " (expected auto, scalar, sse2 or avx2)\n";
+                << " (expected auto, scalar or avx2)\n";
       return 2;
     }
     levels.push_back(*lvl);

@@ -26,10 +26,12 @@ using namespace rtc;
 /// keeps the images honest for anyone dumping them.
 img::Image synthetic_partial(int size, int rank) {
   img::Image im(size, size);
-  std::uint64_t s = 0x9e3779b97f4a7c15ULL +
-                    static_cast<std::uint64_t>(rank) * 0xbf58476d1ce4e5b9ULL;
+  std::uint64_t s = std::uint64_t{0x9e3779b97f4a7c15} +
+                    static_cast<std::uint64_t>(rank) *
+                        std::uint64_t{0xbf58476d1ce4e5b9};
   auto next = [&s]() {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    s = s * std::uint64_t{6364136223846793005} +
+        std::uint64_t{1442695040888963407};
     return static_cast<std::uint32_t>(s >> 33);
   };
   for (img::GrayA8& px : im.pixels()) {
@@ -150,7 +152,8 @@ int main(int argc, char** argv) {
                 harness::Table::num(v_bswap, 4),
                 harness::Table::num(v_rt, 4),
                 harness::Table::num(v_hier, 4)});
-    const std::string tag = "p" + std::to_string(p);
+    std::string tag = "p";
+    tag += std::to_string(p);
     golden.emplace_back(tag + "/direct", v_direct);
     golden.emplace_back(tag + "/bswap_any", v_bswap);
     golden.emplace_back(tag + "/rt4", v_rt);

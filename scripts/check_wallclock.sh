@@ -16,9 +16,9 @@
 #      levels of the gated kernels must beat scalar by min_speedup —
 #      the property the whole dispatch layer exists for.
 #
-# Floor entries for levels this machine cannot run (e.g. avx2 floors
-# on an sse2-only box) are skipped with a note, so one floor file
-# serves heterogeneous runners.
+# Floor entries for levels this machine cannot run (avx2 floors on a
+# pre-AVX2 box) are skipped with a note, so one floor file serves
+# heterogeneous runners.
 #
 # Usage: scripts/check_wallclock.sh [build-dir]
 #        (default: $BUILD_DIR, then build)
@@ -93,13 +93,10 @@ for key, want in sorted(floor["floors_mpix_s"].items()):
 
 min_speedup = floor["min_speedup"]
 for kernel in floor["speedup_kernels"]:
-    # Gate only the highest level this machine supports: that is what
-    # `auto` dispatch actually runs. Lower levels (sse2 on an avx2 box)
-    # are correctness-tested but not perf-gated — on wide-vector CPUs
-    # they can legitimately tie well-autovectorized scalar.
-    best = next((f"{kernel}/{lv}" for lv in ("avx2", "sse2")
-                 if f"{kernel}/{lv}" in speedups), None)
-    if best is None:
+    # Gate the AVX2 level: that is what `auto` dispatch runs wherever
+    # the CPU has it.
+    best = f"{kernel}/avx2"
+    if best not in speedups:
         print(f"skip speedup {kernel}: no SIMD level on this machine")
         continue
     s = speedups[best]

@@ -5,11 +5,22 @@
 // Pairing low bit first keeps every merge *depth-adjacent*: after step
 // k a rank's block covers the contiguous rank interval that matches its
 // high bits, so the non-commutative "over" is applied in correct
-// front-to-back order throughout. Requires P to be a power of two —
-// the restriction the RT method removes.
+// front-to-back order throughout. "bswap" requires P to be a power of
+// two — the restriction the RT method removes.
+//
+// "bswap_any" lifts it with a fold phase, as practitioners do: with
+// m = 2^floor(log2 P), the first 2*(P-m) ranks pre-merge in adjacent
+// pairs (an extra full-image exchange-free step), producing m
+// contiguous-coverage units that then run standard binary-swap; the
+// fold's passive partners go idle. Costs one extra step of A-sized
+// traffic for the folded ranks — the inefficiency RT avoids, shown in
+// bench_scaling/bench_ablation at odd P. At a power-of-two P the fold
+// is empty and both names run the same exchanges, so "bswap" is this
+// one schedule plus its power-of-two check.
 #include <bit>
 
 #include "rtc/common/check.hpp"
+#include "rtc/compositing/builtin.hpp"
 #include "rtc/compositing/compositor.hpp"
 #include "rtc/compositing/wire.hpp"
 #include "rtc/frames/coherence.hpp"
@@ -18,82 +29,120 @@
 
 namespace rtc::compositing {
 
-std::unique_ptr<Compositor> make_binary_swap_any();
-
 namespace {
 
 class BinarySwap final : public Compositor {
  public:
-  [[nodiscard]] std::string name() const override { return "bswap"; }
+  explicit BinarySwap(bool any_p) : any_p_(any_p) {}
+
+  [[nodiscard]] std::string name() const override {
+    return any_p_ ? "bswap_any" : "bswap";
+  }
 
   [[nodiscard]] img::Image run_core(comm::Comm& comm, const img::Image& partial,
                                const Options& opt) const override {
     const int p = comm.size();
-    if (comm.group() != nullptr &&
-        !std::has_single_bit(static_cast<unsigned>(p))) {
-      // Recomposition over survivors: the count is rarely a power of
-      // two anymore, so run the fold-phase variant's schedule — same
-      // family, any P. Direct (ungrouped) use keeps the strict check.
-      return fallback_->run_core(comm, partial, opt);
-    }
-    RTC_CHECK_MSG(std::has_single_bit(static_cast<unsigned>(p)),
-                  "binary-swap needs a power-of-two processor count");
     const int r = comm.rank();
-    const int steps = std::countr_zero(static_cast<unsigned>(p));
-    const img::Tiling tiling(partial.pixel_count(), 1);
+    // Recomposition over survivors (a group view) rarely leaves a
+    // power of two, so there the fold runs; direct use of "bswap"
+    // keeps the strict check.
+    RTC_CHECK_MSG(
+        comm.group() != nullptr || any_p_method(name(), p) == name(),
+        "binary-swap needs a power-of-two processor count");
+    const int m = p <= 1 ? 1 : (1 << (std::bit_width(
+                                          static_cast<unsigned>(p)) -
+                                      1));
+    const int folded = p - m;  // ranks that merge away in the fold
+
+    // Fold: the first 2*folded ranks pair up (2i, 2i+1); the odd one
+    // sends its whole partial to the even one, which pre-composites.
+    // Units afterwards: unit u < folded is rank 2u covering
+    // {2u, 2u+1}; unit u >= folded is rank u + folded covering itself.
+    img::Image buf = partial;
+    const img::PixelSpan whole{0, partial.pixel_count()};
+    const compress::BlockGeometry geom{partial.width(), 0};
+    bool active = true;
+    int unit = r;
     frames::RankCoherence* cache =
         opt.coherence != nullptr ? &opt.coherence->rank(r) : nullptr;
     const bool coherent = opt.coherence != nullptr;
-
-    img::Image buf = partial;
-    std::int64_t index = 0;  // live block is (depth=k, index) after step k
     std::vector<img::GrayA8> scratch;  // decode_blend fallback, reused
+    if (r < 2 * folded) {
+      if (r % 2 == 1) {
+        send_block(comm, r - 1, /*tag=*/0, partial.view(whole), geom,
+                   opt.codec, cache);
+        active = false;
+      } else {
+        recv_block_blend(comm, r + 1, /*tag=*/0, buf.pixels(), geom,
+                         opt.codec, opt.blend, /*src_front=*/false,
+                         opt.resilience, /*block_id=*/r + 1, scratch,
+                         coherent, opt.approx_saturation);
+        unit = r / 2;
+      }
+    } else {
+      unit = r - folded;
+    }
 
-    for (int k = 1; k <= steps; ++k) {
-      const int bit = (r >> (k - 1)) & 1;
-      const int partner = r ^ (1 << (k - 1));
-      const std::int64_t keep = index * 2 + bit;
-      const std::int64_t give = index * 2 + (1 - bit);
-      const img::PixelSpan keep_span = tiling.block(k, keep);
-      const img::PixelSpan give_span = tiling.block(k, give);
+    // Standard binary-swap among the m unit owners (low bit first so
+    // merges stay depth-adjacent). Unit u's owner rank:
+    auto owner_of = [&](int u) {
+      return u < folded ? 2 * u : u + folded;
+    };
 
-      // Sends are buffered/non-blocking, so both partners send first
-      // and the exchange's two directions overlap on the full-duplex
-      // links — one step costs Ts + size*Tp, as Table 1 charges it.
-      const compress::BlockGeometry give_geom{partial.width(),
-                                              give_span.begin};
-      const compress::BlockGeometry keep_geom{partial.width(),
-                                              keep_span.begin};
-      send_block(comm, partner, k, buf.view(give_span), give_geom,
-                 opt.codec, cache);
-      // Partner covers the adjacent rank interval; in front iff
-      // smaller. The fused receive composites decoded runs straight
-      // into the kept half — no intermediate image; a lost partner
-      // contribution is skipped (blank is the identity).
-      recv_block_blend(comm, partner, k, buf.view(keep_span), keep_geom,
-                       opt.codec, opt.blend, /*src_front=*/partner < r,
-                       opt.resilience, keep, scratch, coherent,
-                       opt.approx_saturation);
-      comm.mark(k);
-      index = keep;
+    const img::Tiling tiling(partial.pixel_count(), 1);
+    const int steps =
+        m <= 1 ? 0 : std::countr_zero(static_cast<unsigned>(m));
+    std::int64_t index = 0;  // live block is (depth=k, index) after step k
+    if (active) {
+      for (int k = 1; k <= steps; ++k) {
+        const int bit = (unit >> (k - 1)) & 1;
+        const int partner_unit = unit ^ (1 << (k - 1));
+        const int partner = owner_of(partner_unit);
+        const std::int64_t keep = index * 2 + bit;
+        const std::int64_t give = index * 2 + (1 - bit);
+        const img::PixelSpan keep_span = tiling.block(k, keep);
+        const img::PixelSpan give_span = tiling.block(k, give);
+        // Sends are buffered/non-blocking, so both partners send first
+        // and the exchange's two directions overlap on the full-duplex
+        // links — one step costs Ts + size*Tp, as Table 1 charges it.
+        const compress::BlockGeometry gg{partial.width(), give_span.begin};
+        const compress::BlockGeometry kg{partial.width(), keep_span.begin};
+        send_block(comm, partner, k, buf.view(give_span), gg, opt.codec,
+                   cache);
+        // Partner covers the adjacent unit interval; in front iff
+        // smaller. The fused receive composites decoded runs straight
+        // into the kept half — no intermediate image; a lost partner
+        // contribution is skipped (blank is the identity).
+        recv_block_blend(comm, partner, k, buf.view(keep_span), kg,
+                         opt.codec, opt.blend,
+                         /*src_front=*/partner_unit < unit,
+                         opt.resilience, keep, scratch, coherent,
+                         opt.approx_saturation);
+        comm.mark(k);
+        index = keep;
+      }
     }
 
     if (!opt.gather) return img::Image{};
-    const std::pair<int, std::int64_t> owned[] = {{steps, index}};
+    std::vector<std::pair<int, std::int64_t>> owned;
+    if (active) owned.emplace_back(steps, index);
     return gather_fragments(comm, buf, tiling, owned, opt.root,
                             partial.width(), partial.height(), opt.sink,
                             opt.frame_id);
   }
 
  private:
-  std::unique_ptr<Compositor> fallback_ = make_binary_swap_any();
+  bool any_p_;
 };
 
 }  // namespace
 
-std::unique_ptr<Compositor> make_binary_swap();
 std::unique_ptr<Compositor> make_binary_swap() {
-  return std::make_unique<BinarySwap>();
+  return std::make_unique<BinarySwap>(/*any_p=*/false);
+}
+
+std::unique_ptr<Compositor> make_binary_swap_any() {
+  return std::make_unique<BinarySwap>(/*any_p=*/true);
 }
 
 }  // namespace rtc::compositing

@@ -11,11 +11,20 @@
 // converges to the exact survivors-only image.
 #include "rtc/compositing/compositor.hpp"
 
+#include <bit>
+
 #include "rtc/comm/membership.hpp"
 #include "rtc/common/check.hpp"
 #include "rtc/simd/dispatch.hpp"
 
 namespace rtc::compositing {
+
+std::string any_p_method(const std::string& method, int ranks) {
+  const bool pow2 = std::has_single_bit(static_cast<unsigned>(ranks));
+  if (method == "bswap" && !pow2) return "bswap_any";
+  if (method == "rt_n" && ranks % 2 != 0 && ranks != 1) return "rt";
+  return method;
+}
 
 img::Image Compositor::run(comm::Comm& comm, const img::Image& partial,
                            const Options& opt) const {

@@ -129,9 +129,9 @@ class Compositor {
 
   /// One composition pass over the current comm.size() ranks — the
   /// actual schedule (bswap pairing, RT rotation, ring, ...). Public so
-  /// a method can delegate to another method's core (binary_swap falls
-  /// back to the any-P variant for non-power-of-two survivor counts);
-  /// callers outside the compositing layer should use run().
+  /// a method can delegate to another method's core (hier runs its two
+  /// levels' cores inside group views); callers outside the
+  /// compositing layer should use run().
   [[nodiscard]] virtual img::Image run_core(comm::Comm& comm,
                                             const img::Image& partial,
                                             const Options& opt) const = 0;
@@ -148,5 +148,14 @@ class Compositor {
 
 /// Names accepted by make_compositor, in presentation order.
 [[nodiscard]] std::vector<std::string> compositor_names();
+
+/// The method to run at `ranks` in place of `method`: its any-P
+/// sibling when `ranks` breaks the method's applicability rule
+/// ("bswap" -> "bswap_any" unless a power of two, "rt_n" -> "rt" at an
+/// odd count above 1), else `method` itself. Recomposition over
+/// survivors, and the frame and service loops after a rank loss, all
+/// fall back by this one rule.
+[[nodiscard]] std::string any_p_method(const std::string& method,
+                                       int ranks);
 
 }  // namespace rtc::compositing

@@ -29,12 +29,12 @@ img::Image RtCompositor::run_core(comm::Comm& comm, const img::Image& partial,
   const int p = comm.size();
   const int r = comm.rank();
   RtVariant variant = variant_;
-  if (comm.group() != nullptr && variant == RtVariant::kNrt &&
-      p % 2 != 0 && p != 1) {
+  if (comm.group() != nullptr &&
+      compositing::any_p_method(name(), p) == "rt") {
     // Recomposition over survivors: an odd survivor count breaks the
     // N_RT even-P applicability rule, so run the generalized schedule
     // (same family, any P). Direct (ungrouped) use keeps the strict
-    // check, mirroring binary_swap's bswap_any fallback.
+    // check, as binary_swap does.
     variant = RtVariant::kGeneralized;
   }
   const RtSchedule sched =

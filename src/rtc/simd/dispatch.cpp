@@ -10,8 +10,6 @@ const char* to_string(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -20,7 +18,6 @@ const char* to_string(SimdLevel level) {
 
 std::optional<SimdLevel> parse_simd_level(const std::string& name) {
   if (name == "scalar") return SimdLevel::kScalar;
-  if (name == "sse2") return SimdLevel::kSse2;
   if (name == "avx2") return SimdLevel::kAvx2;
   return std::nullopt;
 }
@@ -28,22 +25,13 @@ std::optional<SimdLevel> parse_simd_level(const std::string& name) {
 namespace {
 
 SimdLevel probe_cpu() {
-#if defined(RTC_SIMD_DISABLED)
-  return SimdLevel::kScalar;
-#elif defined(__x86_64__) || defined(_M_X64)
   // RTC_SIMD_HAS_AVX2 is set by CMake only when the AVX2 TU was
   // actually built with -mavx2; without it the avx2 table aliases
   // scalar and reporting kAvx2 would promise a speedup we can't give.
-#if defined(RTC_SIMD_HAS_AVX2)
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(RTC_SIMD_HAS_AVX2)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
-  // SSE2 is architecturally guaranteed on x86-64, but ask anyway so a
-  // hypervisor masking it degrades gracefully.
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
   return SimdLevel::kScalar;
-#else
-  return SimdLevel::kScalar;
-#endif
 }
 
 /// -1 = not yet initialized (first active_level() call resolves it).
@@ -66,7 +54,7 @@ SimdLevel init_from_env() {
       return resolve_with_stderr_note(*requested);
     }
     std::cerr << "RTC_SIMD: unknown level '" << env
-              << "' (expected auto, scalar, sse2 or avx2); using "
+              << "' (expected auto, scalar or avx2); using "
               << to_string(detected_level()) << "\n";
   }
   return detected_level();

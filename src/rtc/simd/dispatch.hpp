@@ -1,21 +1,20 @@
 // Runtime SIMD dispatch for the pixel/codec hot paths.
 //
-// Every kernel in kernels.hpp exists at three levels — portable scalar,
-// SSE2 and AVX2 — and all levels compute bit-identical results: the
-// vector paths reproduce the scalar integer arithmetic (including the
-// uint8 wraparound of malformed premultiplied inputs) lane for lane,
-// so switching levels can never change an image, a golden, or a wire
+// Every kernel in kernels.hpp exists at two levels — portable scalar
+// and AVX2 — and both compute bit-identical results: the AVX2 kernels
+// reproduce the scalar integer arithmetic (including the uint8
+// wraparound of malformed premultiplied inputs) lane for lane, so
+// switching levels can never change an image, a golden, or a wire
 // byte. Dispatch therefore only affects wall-clock speed.
 //
 // Selection, highest priority first:
-//   1. simd::set_level() / simd::request_level("auto|scalar|sse2|avx2")
+//   1. simd::set_level() / simd::request_level("auto|scalar|avx2")
 //      (the --simd CLI/bench knob),
 //   2. the RTC_SIMD environment variable (same spellings),
-//   3. auto-detection (highest level this CPU supports).
+//   3. auto-detection (avx2 when the CPU has it and the compiler
+//      accepted -mavx2, else scalar).
 // A request above what the CPU supports falls back to the best
 // supported level with one clear stderr line — never a SIGILL.
-// Building with -DRTC_SIMD=OFF compiles the vector kernels out
-// entirely (detected_level() == kScalar).
 #pragma once
 
 #include <optional>
@@ -23,23 +22,22 @@
 
 namespace rtc::simd {
 
-/// Instruction-set tiers, ordered: a CPU that supports a level
-/// supports every lower one.
+/// Instruction-set tiers, ordered. The values are what trace
+/// `kernel-dispatch` spans record (1 was a retired SSE2 level).
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable C++ (always available)
-  kSse2 = 1,    ///< x86-64 baseline 128-bit
   kAvx2 = 2,    ///< 256-bit integer SIMD
 };
 
 [[nodiscard]] const char* to_string(SimdLevel level);
 
-/// Parses "scalar" | "sse2" | "avx2"; nullopt for anything else
+/// Parses "scalar" | "avx2"; nullopt for anything else
 /// ("auto" is handled by request_level, not a level by itself).
 [[nodiscard]] std::optional<SimdLevel> parse_simd_level(
     const std::string& name);
 
-/// Highest level the running CPU supports (kScalar when the build
-/// disabled SIMD or the target is not x86-64). Computed once.
+/// Highest level the running CPU supports (kScalar when the target is
+/// not x86-64 or the compiler has no -mavx2). Computed once.
 [[nodiscard]] SimdLevel detected_level();
 
 /// Pure fallback policy: the level actually used for `requested` on a

@@ -66,11 +66,10 @@ struct Kernels {
 }
 
 namespace detail {
-// Per-level tables, defined in kernels_scalar.cpp / kernels_x86.cpp.
-// kSse2/kAvx2 fall back to scalar entries off x86-64 or under
-// -DRTC_SIMD=OFF (they are then never selected by dispatch anyway).
+// Per-level tables, defined in kernels_scalar.cpp / kernels_avx2.cpp.
+// The avx2 table aliases scalar when the compiler has no -mavx2 (it is
+// then never selected by dispatch anyway).
 [[nodiscard]] const Kernels& scalar_kernels();
-[[nodiscard]] const Kernels& sse2_kernels();
 [[nodiscard]] const Kernels& avx2_kernels();
 }  // namespace detail
 

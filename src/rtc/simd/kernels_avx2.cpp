@@ -1,28 +1,141 @@
-// AVX2 (256-bit) kernels: 16 pixels per iteration.
+// AVX2 kernels.
 //
-// This translation unit is compiled with -mavx2 (see CMakeLists.txt);
-// nothing here may be called unless dispatch selected kAvx2, which
-// requires __builtin_cpu_supports("avx2"). The arithmetic is the SSE2
-// scheme widened to 256 bits: unpack/pack and the 16-bit shuffles all
-// operate per 128-bit lane, and because the unpack and pack lane
-// splits mirror each other the byte order round-trips exactly.
+// This translation unit is compiled with -mavx2 -O3 (see
+// CMakeLists.txt); nothing here may be called unless dispatch selected
+// kAvx2, which requires __builtin_cpu_supports("avx2"). Everything but
+// the avx2_kernels() table lives in an anonymous namespace and no
+// inline function of the project's headers is called, so no
+// AVX2-compiled copy of a shared inline function can be the one the
+// linker keeps for baseline callers (scripts/check_simd_symbols.sh
+// checks the object file).
+//
+// The streaming kernels are portable C++ over 16-bit pixel words that
+// the compiler vectorizes at -O3. The arithmetic is img::over()'s,
+// narrowed to 16 bits: back.c * inv <= 255*255 = 65025, +128 = 65153,
+// plus its own high byte <= 65407 — all below 2^16 — and the final
+// front.c + rounded term is masked to 8 bits, so it wraps on malformed
+// (non-premultiplied) inputs exactly as the scalar uint8_t cast does.
+// The fused TRLE cells keep intrinsics: their payload-to-row split is
+// one cross-lane permute, and every portable form measured slower
+// (docs/simd_kernels.md).
 #include "rtc/simd/kernels.hpp"
-#include "rtc/simd/scalar_impl.hpp"
 
-#if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__) && \
-    !defined(RTC_SIMD_DISABLED)
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__)
 
+#include <bit>
+#include <cstring>
 #include <immintrin.h>
 
 namespace rtc::simd {
 namespace {
 
+// A pixel as one 16-bit word: v in the low byte, a in the high byte.
+static_assert(sizeof(img::GrayA8) == 2);
+static_assert(std::endian::native == std::endian::little,
+              "pixel words and blank_mask's flag packing assume "
+              "little-endian byte order");
+
+using Word = std::uint16_t;
+
+inline Word load(const void* p) {
+  Word w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+inline void store(void* p, Word w) { std::memcpy(p, &w, sizeof w); }
+
+/// Round-to-nearest x * w / 255 in 16-bit arithmetic (x, w <= 255).
+inline Word mul255(Word x, Word w) {
+  const auto t = static_cast<Word>(x * w + 128);
+  return static_cast<Word>(static_cast<Word>(t + (t >> 8)) >> 8);
+}
+
+/// Porter-Duff over on pixel words: f is the front operand, b the back.
+inline Word over(Word f, Word b) {
+  const auto fa = static_cast<Word>(f >> 8);
+  const auto inv = static_cast<Word>(255 - fa);
+  const auto v = static_cast<Word>((f + mul255(b & 0xff, inv)) & 0xff);
+  const auto a = static_cast<Word>((fa + mul255(b >> 8, inv)) & 0xff);
+  return static_cast<Word>(v | a << 8);
+}
+
+/// Per-channel max on pixel words.
+inline Word max(Word x, Word y) {
+  const auto v = (x & 0xff) > (y & 0xff) ? x & 0xff : y & 0xff;
+  const auto a = (x >> 8) > (y >> 8) ? x >> 8 : y >> 8;
+  return static_cast<Word>(v | a << 8);
+}
+
+void over_front(img::GrayA8* dst, const img::GrayA8* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    store(dst + i, over(load(src + i), load(dst + i)));
+}
+
+void over_back(img::GrayA8* dst, const img::GrayA8* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    store(dst + i, over(load(dst + i), load(src + i)));
+}
+
+void max_blend(img::GrayA8* dst, const img::GrayA8* src, std::size_t n) {
+  // Channels are independent bytes, so max them as 2n bytes.
+  auto* d = reinterpret_cast<std::uint8_t*>(dst);
+  const auto* s = reinterpret_cast<const std::uint8_t*>(src);
+  for (std::size_t i = 0; i < 2 * n; ++i) d[i] = d[i] > s[i] ? d[i] : s[i];
+}
+
+std::int64_t count_non_blank(const img::GrayA8* px, std::size_t n) {
+  // 8-bit counters vectorize at full width and cannot overflow in a
+  // block of at most 255 pixels. 224 = 7 vector steps of 32 pixels
+  // leaves no scalar tail inside a block; it measured 30% faster than
+  // 255-pixel blocks.
+  constexpr std::size_t kBlock = 224;
+  std::int64_t count = 0;
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t end = n - i > kBlock ? i + kBlock : n;
+    std::uint8_t block = 0;
+    for (; i < end; ++i)
+      block = static_cast<std::uint8_t>(block + (load(px + i) != 0));
+    count += block;
+  }
+  return count;
+}
+
+void blank_mask(const img::GrayA8* px, std::size_t n, std::uint64_t* bits) {
+  std::size_t w = 0;
+  for (; 64 * w + 64 <= n; ++w) {
+    const img::GrayA8* word_px = px + 64 * w;
+    std::uint8_t flag[64];
+    for (std::size_t i = 0; i < 64; ++i) flag[i] = load(word_px + i) != 0;
+    // Packs 8 flag bytes (each 0 or 1) into their top byte: byte j of
+    // x times byte 7-j of the constant lands on bit 56 + j, and no two
+    // partial products share a bit, so nothing carries.
+    std::uint64_t word = 0;
+    for (std::size_t g = 0; g < 8; ++g) {
+      std::uint64_t x;
+      std::memcpy(&x, flag + 8 * g, sizeof x);
+      word |= ((x * 0x0102040810204080ull) >> 56) << (8 * g);
+    }
+    bits[w] = word;
+  }
+  if (64 * w < n) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 64 * w; i < n; ++i)
+      word |= std::uint64_t{load(px + i) != 0} << (i & 63);
+    bits[w] = word;
+  }
+}
+
+/// 16-pixel over with 8-bit lanes unpacked to 16 bits; the unpack and
+/// pack lane splits mirror each other, so the byte order round-trips.
 inline __m256i over16(__m256i f, __m256i b) {
   const __m256i zero = _mm256_setzero_si256();
   const __m256i c255 = _mm256_set1_epi16(255);
   const __m256i c128 = _mm256_set1_epi16(128);
   const __m256i lo_byte = _mm256_set1_epi16(0x00ff);
   const auto half = [&](__m256i f16, __m256i b16) {
+    // Lanes are [v0 a0 v1 a1 ...]; replicate each alpha onto its value
+    // lane so one weight multiplies both channels.
     __m256i a = _mm256_shufflelo_epi16(f16, _MM_SHUFFLE(3, 3, 1, 1));
     a = _mm256_shufflehi_epi16(a, _MM_SHUFFLE(3, 3, 1, 1));
     const __m256i inv = _mm256_sub_epi16(c255, a);
@@ -37,102 +150,18 @@ inline __m256i over16(__m256i f, __m256i b) {
                                   _mm256_unpackhi_epi8(b, zero)));
 }
 
-void over_front(img::GrayA8* dst, const img::GrayA8* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), over16(s, d));
-  }
-  scalar::over_front(dst + i, src + i, n - i);
-}
-
-void over_back(img::GrayA8* dst, const img::GrayA8* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), over16(d, s));
-  }
-  scalar::over_back(dst + i, src + i, n - i);
-}
-
-void max_blend(img::GrayA8* dst, const img::GrayA8* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_max_epu8(d, s));
-  }
-  scalar::max_blend(dst + i, src + i, n - i);
-}
-
-std::int64_t count_non_blank(const img::GrayA8* px, std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  std::int64_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(px + i));
-    const unsigned m = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi16(x, zero)));
-    count += 16 - __builtin_popcount(m & (m >> 1) & 0x55555555u);
-  }
-  count += scalar::count_non_blank(px + i, n - i);
-  return count;
-}
-
-/// Compacts the even bits of a 32-bit word into its low 16 bits
-/// (Morton decode), for turning a 2-bits-per-pixel movemask into a
-/// 1-bit-per-pixel occupancy word.
-inline std::uint64_t compact_even_bits(std::uint64_t x) {
-  x &= 0x5555555555555555ull;
-  x = (x | (x >> 1)) & 0x3333333333333333ull;
-  x = (x | (x >> 2)) & 0x0f0f0f0f0f0f0f0full;
-  x = (x | (x >> 4)) & 0x00ff00ff00ff00ffull;
-  x = (x | (x >> 8)) & 0x0000ffff0000ffffull;
-  return x;
-}
-
-void blank_mask(const img::GrayA8* px, std::size_t n, std::uint64_t* bits) {
-  const std::size_t words = (n + 63) / 64;
-  for (std::size_t w = 0; w < words; ++w) bits[w] = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(px + i));
-    const std::uint64_t m = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi16(x, zero)));
-    const std::uint64_t blank = compact_even_bits(m & (m >> 1));
-    const std::uint64_t non_blank = ~blank & 0xffffu;
-    bits[i >> 6] |= non_blank << (i & 63);  // i % 64 in {0, 16, 32, 48}
-  }
-  for (; i < n; ++i) {
-    if (!img::is_blank(px[i]))
-      bits[i >> 6] |= std::uint64_t{1} << (i & 63);
-  }
-}
-
 /// Splits 4 cells (32 payload bytes) into [row0 8px | row1 8px].
 inline __m256i split_rows(__m256i cells4) {
   const __m256i idx = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
   return _mm256_permutevar8x32_epi32(cells4, idx);
 }
 
-template <typename Blend16>
+/// blend16(s, d) blends 16 payload pixels into 16 row pixels;
+/// blend(s, d) is the same on one pixel word, for the last k % 4 cells.
+template <typename Blend16, typename Blend>
 inline void fused_cells(img::GrayA8* row0, img::GrayA8* row1,
                         const std::byte* pay, std::size_t k,
-                        Blend16&& blend16,
-                        void (*tail)(img::GrayA8*, img::GrayA8*,
-                                     const std::byte*, std::size_t)) {
+                        Blend16&& blend16, Blend&& blend) {
   std::size_t c = 0;
   for (; c + 4 <= k; c += 4, pay += 32) {
     const __m256i s = split_rows(
@@ -146,28 +175,37 @@ inline void fused_cells(img::GrayA8* row0, img::GrayA8* row1,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(row1 + 2 * c),
                      _mm256_extracti128_si256(out, 1));
   }
-  tail(row0 + 2 * c, row1 + 2 * c, pay, k - c);
+  for (; c < k; ++c, pay += 8) {
+    // Payload order (x,y), (x+1,y), (x,y+1), (x+1,y+1).
+    img::GrayA8* d0 = row0 + 2 * c;
+    img::GrayA8* d1 = row1 + 2 * c;
+    store(d0, blend(load(pay), load(d0)));
+    store(d0 + 1, blend(load(pay + 2), load(d0 + 1)));
+    store(d1, blend(load(pay + 4), load(d1)));
+    store(d1 + 1, blend(load(pay + 6), load(d1 + 1)));
+  }
 }
 
 void fused_cells_over_front(img::GrayA8* row0, img::GrayA8* row1,
                             const std::byte* pay, std::size_t k) {
-  fused_cells(row0, row1, pay, k,
-              [](__m256i s, __m256i d) { return over16(s, d); },
-              scalar::fused_cells_over_front);
+  fused_cells(
+      row0, row1, pay, k, [](__m256i s, __m256i d) { return over16(s, d); },
+      [](Word s, Word d) { return over(s, d); });
 }
 
 void fused_cells_over_back(img::GrayA8* row0, img::GrayA8* row1,
                            const std::byte* pay, std::size_t k) {
-  fused_cells(row0, row1, pay, k,
-              [](__m256i s, __m256i d) { return over16(d, s); },
-              scalar::fused_cells_over_back);
+  fused_cells(
+      row0, row1, pay, k, [](__m256i s, __m256i d) { return over16(d, s); },
+      [](Word s, Word d) { return over(d, s); });
 }
 
 void fused_cells_max(img::GrayA8* row0, img::GrayA8* row1,
                      const std::byte* pay, std::size_t k) {
-  fused_cells(row0, row1, pay, k,
-              [](__m256i s, __m256i d) { return _mm256_max_epu8(s, d); },
-              scalar::fused_cells_max);
+  fused_cells(
+      row0, row1, pay, k,
+      [](__m256i s, __m256i d) { return _mm256_max_epu8(s, d); },
+      [](Word s, Word d) { return max(s, d); });
 }
 
 }  // namespace
@@ -187,9 +225,9 @@ const Kernels& avx2_kernels() {
 }  // namespace detail
 }  // namespace rtc::simd
 
-#else  // no AVX2 at build time: table aliases scalar (and is never
-       // selected — detected_level() needs the CPU bit, and a CPU
-       // with the bit still gets correct results through this alias).
+#else  // no AVX2 at build time: the table aliases scalar and is never
+       // selected (detected_level() reports kAvx2 only when this file
+       // was built with -mavx2).
 
 namespace rtc::simd::detail {
 const Kernels& avx2_kernels() { return scalar_kernels(); }

@@ -22,8 +22,6 @@ const Kernels& kernels_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return detail::scalar_kernels();
-    case SimdLevel::kSse2:
-      return detail::sse2_kernels();
     case SimdLevel::kAvx2:
       return detail::avx2_kernels();
   }

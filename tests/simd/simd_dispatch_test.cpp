@@ -17,19 +17,18 @@ using simd::SimdLevel;
 
 TEST(SimdDispatch, ParseLevelSpellings) {
   EXPECT_EQ(simd::parse_simd_level("scalar"), SimdLevel::kScalar);
-  EXPECT_EQ(simd::parse_simd_level("sse2"), SimdLevel::kSse2);
   EXPECT_EQ(simd::parse_simd_level("avx2"), SimdLevel::kAvx2);
   EXPECT_FALSE(simd::parse_simd_level("auto").has_value());
   EXPECT_FALSE(simd::parse_simd_level("").has_value());
   EXPECT_FALSE(simd::parse_simd_level("AVX2").has_value());
+  EXPECT_FALSE(simd::parse_simd_level("sse2").has_value());
   EXPECT_FALSE(simd::parse_simd_level("mmx").has_value());
 }
 
 TEST(SimdDispatch, ResolveHonorsSupportedRequests) {
-  for (const SimdLevel detected :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  for (const SimdLevel detected : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     for (const SimdLevel requested :
-         {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+         {SimdLevel::kScalar, SimdLevel::kAvx2}) {
       if (requested > detected) continue;
       std::string note = "unchanged";
       EXPECT_EQ(simd::resolve_level(requested, detected, &note),
@@ -40,21 +39,15 @@ TEST(SimdDispatch, ResolveHonorsSupportedRequests) {
 }
 
 TEST(SimdDispatch, UnsupportedRequestFallsBackWithNote) {
-  // The --simd=avx2-on-a-sse2-box scenario: no SIGILL, best level
+  // The --simd=avx2-on-a-pre-AVX2-box scenario: no SIGILL, best level
   // instead, and the note names both levels so the log line is
   // actionable.
   std::string note;
-  EXPECT_EQ(simd::resolve_level(SimdLevel::kAvx2, SimdLevel::kSse2,
-                                &note),
-            SimdLevel::kSse2);
-  EXPECT_NE(note.find("avx2"), std::string::npos) << note;
-  EXPECT_NE(note.find("sse2"), std::string::npos) << note;
-  EXPECT_NE(note.find("falling back"), std::string::npos) << note;
-
-  note.clear();
-  EXPECT_EQ(simd::resolve_level(SimdLevel::kSse2, SimdLevel::kScalar,
+  EXPECT_EQ(simd::resolve_level(SimdLevel::kAvx2, SimdLevel::kScalar,
                                 &note),
             SimdLevel::kScalar);
+  EXPECT_NE(note.find("avx2"), std::string::npos) << note;
+  EXPECT_NE(note.find("scalar"), std::string::npos) << note;
   EXPECT_NE(note.find("falling back"), std::string::npos) << note;
 
   // A null note pointer is allowed (callers that only want the level).

@@ -4,7 +4,8 @@
 // byte-identical results for identical inputs — including the uint8
 // wraparound of malformed premultiplied pixels, which packus-style
 // saturation would silently "fix". These tests sweep lengths 0..129
-// (every vector-width remainder for 8- and 16-pixel strides),
+// (every vector-width remainder up to 64-pixel strides) plus lengths
+// on both sides of the 64-pixel blank_mask word and the count blocks,
 // misaligned span starts, and adversarial pixel classes, comparing
 // each supported level against the scalar reference with EXPECT_EQ on
 // raw bytes. They also pin codec-level equivalence: TRLE encode must
@@ -34,8 +35,6 @@ constexpr std::uint32_t u32(int v) { return static_cast<std::uint32_t>(v); }
 /// Levels this machine can actually execute (scalar always).
 std::vector<SimdLevel> supported_levels() {
   std::vector<SimdLevel> out{SimdLevel::kScalar};
-  if (simd::detected_level() >= SimdLevel::kSse2)
-    out.push_back(SimdLevel::kSse2);
   if (simd::detected_level() >= SimdLevel::kAvx2)
     out.push_back(SimdLevel::kAvx2);
   return out;
@@ -81,6 +80,19 @@ std::vector<GrayA8> make_pixels(int cls, std::size_t n,
 
 constexpr int kPixelClasses = 5;
 
+/// 0..129, then lengths that end just before, on and after the block
+/// boundaries of the vector loops (64-pixel mask words, 224-pixel AVX2
+/// count blocks, and the 255 pixels an 8-bit counter can hold) and a
+/// long run that crosses several of each.
+std::vector<std::size_t> sweep_lengths() {
+  std::vector<std::size_t> out;
+  for (std::size_t n = 0; n <= 129; ++n) out.push_back(n);
+  for (const int n : {191, 223, 224, 225, 254, 255, 256, 319, 447, 448,
+                      449, 509, 510, 511, 1031})
+    out.push_back(static_cast<std::size_t>(n));
+  return out;
+}
+
 /// Runs `check(level_kernels, scalar_kernels)` for every supported
 /// non-scalar level over the length/alignment/class sweep.
 template <typename Check>
@@ -89,7 +101,7 @@ void sweep(Check&& check) {
   for (const SimdLevel level : supported_levels()) {
     if (level == SimdLevel::kScalar) continue;
     const simd::Kernels& k = simd::kernels_for(level);
-    for (std::size_t n = 0; n <= 129; ++n) {
+    for (const std::size_t n : sweep_lengths()) {
       for (std::size_t offset : {std::size_t{0}, std::size_t{1},
                                  std::size_t{3}, std::size_t{7}}) {
         for (int cls = 0; cls < kPixelClasses; ++cls) {
@@ -213,7 +225,7 @@ TEST(SimdCodec, TrleEncodeBytesIdenticalAcrossLevels) {
   const auto codec = compress::make_codec("trle");
   for (int w : {31, 32, 64, 97}) {
     for (int cls = 0; cls < kPixelClasses; ++cls) {
-      const auto px = make_pixels(cls, static_cast<std::size_t>(w) * w,
+      const auto px = make_pixels(cls, static_cast<std::size_t>(w * w),
                                   77u * u32(cls));
       // Span starting mid-image exercises the boundary-row-pair path.
       for (std::int64_t begin : {std::int64_t{0}, std::int64_t{w + 3}}) {
@@ -239,7 +251,7 @@ TEST(SimdCodec, TrleDecodeBlendImageIdenticalAcrossLevels) {
   const auto codec = compress::make_codec("trle");
   for (int w : {31, 32, 97}) {
     for (int cls = 0; cls < kPixelClasses; ++cls) {
-      const std::size_t n = static_cast<std::size_t>(w) * w;
+      const std::size_t n = static_cast<std::size_t>(w * w);
       const auto px = make_pixels(cls, n, 3u * u32(cls) + 1);
       const auto dst0 = make_pixels((cls + 3) % kPixelClasses, n, 9u);
       const compress::BlockGeometry geom{w, 0};

@@ -3,13 +3,11 @@
 //   rtcomp info
 //   rtcomp render   --dataset engine --ranks 8 --method rt_n --blocks 3
 //                   [--codec trle] [--image 512] [--volume 96]
-//                   [--renderer shearwarp|raycast|splat] [--mip]
-//                   [--partition slab|grid|balanced] [--out out.pgm]
+//                   [--renderer shearwarp|raycast|splat]
 //                   [--executor pooled|threaded] [--workers N]
-//                   [--simd auto|scalar|sse2|avx2] [--blend-threads N]
+//                   [--simd auto|scalar|avx2] [--blend-threads N]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //                   [--group-size G] [--hier-intra M] [--hier-inter M]
-//                   [--trace-out trace.json] [--metrics-out metrics.txt]
 //                   [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
 //                   [--fault-dup P] [--fault-delay P]
 //                   [--fault-delay-mean S] [--fault-crash-rank R]
@@ -24,6 +22,9 @@
 //                   [--quality exact|approx|progressive|stale|blank]
 //                   [--max-error N] [--progressive FACTOR]
 //                   [--saturation S]
+//     single shot (the default):
+//                   [--partition slab|grid|balanced] [--mip] [--out out.pgm]
+//                   [--trace-out trace.json] [--metrics-out metrics.txt]
 //     multi-frame (camera sweep through the frame pipeline):
 //                   --frames K [--sweep DEG] [--max-in-flight M]
 //                   [--no-coherence] [--stream frames.pgms]
@@ -37,6 +38,7 @@
 //                   [--priority-classes C] [--max-in-flight M]
 //                   [--no-coherence] [--fault-submission K]
 //                   [--degrade-before-shed]
+//                   [--trace-out trace.json] [--metrics-out metrics.txt]
 //   rtcomp schedule --ranks 3 --blocks 4 [--variant n|2n|any]
 //   rtcomp predict  --ranks 32 --blocks 4 [--pixels 262144]
 //                   [--ts 0.0035] [--tp 1e-7] [--to 2.5e-7]
@@ -45,7 +47,8 @@
 // Flags take `--key value` or `--key=value` form. A flag the
 // subcommand does not know, or a malformed numeric value, is a usage
 // error naming the flag — never silently ignored, never an unhandled
-// std::stoi throw.
+// std::stoi throw. So is a render flag that only another mode reads
+// (`flag --sessions needs --service`).
 //
 // Exit codes: 0 ok, 2 usage error.
 #include <climits>
@@ -58,6 +61,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "rtc/common/flags.hpp"
 #include "rtc/image/ops.hpp"
@@ -70,24 +75,32 @@ using namespace rtc;
 
 using FlagSet = std::set<std::string>;
 
-// The flags each subcommand reads; render's set covers its single-shot,
-// --frames and --service modes.
+// The flags each subcommand reads. Render has three modes: single
+// shot, --frames K (K > 1) and --service. Every mode reads
+// kRenderFlags (--frames itself selects the mode, and K <= 1 means
+// single shot). A flag in a mode set is read only by the modes whose
+// sets list it; giving it to another mode is a usage error rather
+// than a silently ignored flag.
 const FlagSet kRenderFlags = {
-    "admission", "arrival-rate", "blend-threads", "blocks",
-    "breaker-cooldown", "circuit-breaker-threshold", "codec", "dataset",
-    "deadline", "degrade-before-shed", "executor", "fault-corrupt",
-    "fault-crash-after", "fault-crash-at", "fault-crash-rank", "fault-delay",
-    "fault-delay-mean", "fault-drop", "fault-dup", "fault-frame",
-    "fault-jitter", "fault-link", "fault-seed", "fault-slow",
-    "fault-submission", "frames", "group-size", "hedge", "hier-inter",
-    "hier-intra", "image", "max-error", "max-in-flight", "method",
-    "metrics-out", "mip", "net", "no-coherence", "on-peer-loss", "out",
-    "partition", "pitch", "priority-classes", "progressive", "quality",
-    "quant", "queue-cap", "ranks", "relay", "renderer", "requests",
-    "retries", "rto", "saturation", "service", "session-deadline",
-    "sessions", "simd", "straggler-multiple", "straggler-window", "stream",
-    "sweep", "topology", "trace-out", "traffic-seed", "volume", "workers",
-    "yaw", "yaw-step"};
+    "blend-threads", "blocks", "breaker-cooldown",
+    "circuit-breaker-threshold", "codec", "dataset", "deadline", "executor",
+    "fault-corrupt", "fault-crash-after", "fault-crash-at",
+    "fault-crash-rank", "fault-delay", "fault-delay-mean", "fault-drop",
+    "fault-dup", "fault-jitter", "fault-link", "fault-seed", "fault-slow",
+    "frames", "group-size", "hedge", "hier-inter", "hier-intra", "image",
+    "max-error", "method", "net", "on-peer-loss", "pitch", "progressive",
+    "quality", "ranks", "relay", "renderer", "retries", "rto", "saturation",
+    "simd", "straggler-multiple", "straggler-window", "topology", "volume",
+    "workers", "yaw"};
+const FlagSet kSingleShotFlags = {"metrics-out", "mip", "out", "partition",
+                                  "trace-out"};
+const FlagSet kFramesFlags = {"fault-frame", "max-in-flight",
+                              "no-coherence", "stream", "sweep"};
+const FlagSet kServiceFlags = {
+    "admission", "arrival-rate", "degrade-before-shed", "fault-submission",
+    "max-in-flight", "metrics-out", "no-coherence", "priority-classes",
+    "quant", "queue-cap", "requests", "service", "session-deadline",
+    "sessions", "trace-out", "traffic-seed", "yaw-step"};
 const FlagSet kScheduleFlags = {"ranks", "blocks", "variant"};
 const FlagSet kPredictFlags = {"ranks", "blocks", "pixels", "ts",
                                "tp",    "to",     "topology"};
@@ -102,7 +115,7 @@ class Args {
         std::cerr << "unexpected argument: " << key << "\n";
         std::exit(2);
       }
-      key = key.substr(2);
+      key.erase(0, 2);
       const std::size_t eq = key.find('=');
       if (known.count(key.substr(0, eq)) == 0) {
         std::cerr << "unknown flag --" << key.substr(0, eq) << "\n";
@@ -115,7 +128,7 @@ class Args {
       if (key == "mip" || key == "no-coherence" || key == "relay" ||
           key == "hedge" || key == "service" ||
           key == "degrade-before-shed") {
-        kv_[key] = "1";
+        kv_.try_emplace(key, "1");
         continue;
       }
       if (i + 1 >= argc) {
@@ -156,6 +169,11 @@ class Args {
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return kv_.count(key) != 0;
+  }
+  [[nodiscard]] std::vector<std::string> keys() const {
+    std::vector<std::string> out;
+    for (const auto& kv : kv_) out.push_back(kv.first);
+    return out;
   }
 
  private:
@@ -224,7 +242,7 @@ int parse_scaling_flags(const Args& a, harness::CompositionConfig& cfg) {
     const std::string name = a.get("simd", "");
     if (!simd::request_level(name)) {
       std::cerr << "unknown --simd: " << name
-                << " (expected auto, scalar, sse2 or avx2)\n";
+                << " (expected auto, scalar or avx2)\n";
       return 2;
     }
   }
@@ -526,10 +544,6 @@ int cmd_render_frames(const Args& a) {
   if (const int rc = parse_scaling_flags(a, pc.comp); rc != 0) return rc;
   if (const int rc = parse_fault_flags(a, pc.comp); rc != 0) return rc;
   if (const int rc = parse_quality_flags(a, pc.comp); rc != 0) return rc;
-  if (pc.comp.quality.degrade_before_shed) {
-    std::cerr << "--degrade-before-shed needs --service\n";
-    return 2;
-  }
   pc.deadline = pc.comp.deadline;
 
   std::ofstream stream;
@@ -565,9 +579,40 @@ int cmd_render_frames(const Args& a) {
   return 0;
 }
 
+/// Rejects (exit 2) a flag the selected render mode does not read,
+/// naming the mode(s) that do. `mode_flags` is that mode's set.
+int check_render_mode_flags(const Args& a, const FlagSet& mode_flags) {
+  if (&mode_flags == &kServiceFlags && a.has("frames")) {
+    std::cerr << "flag --frames cannot be combined with --service\n";
+    return 2;
+  }
+  const std::pair<const FlagSet*, const char*> modes[] = {
+      {&kSingleShotFlags, "a single-shot render"},
+      {&kFramesFlags, "--frames K (K > 1)"},
+      {&kServiceFlags, "--service"}};
+  for (const std::string& key : a.keys()) {
+    if (kRenderFlags.count(key) != 0 || mode_flags.count(key) != 0)
+      continue;
+    std::string needs;
+    for (const auto& [flags, name] : modes) {
+      if (flags->count(key) == 0) continue;
+      if (!needs.empty()) needs += " or ";
+      needs += name;
+    }
+    std::cerr << "flag --" << key << " needs " << needs << "\n";
+    return 2;
+  }
+  return 0;
+}
+
 int cmd_render(const Args& a) {
-  if (a.has("service")) return cmd_render_service(a);
-  if (a.get_int("frames", 1) > 1) return cmd_render_frames(a);
+  const FlagSet& mode_flags = a.has("service")              ? kServiceFlags
+                              : a.get_int("frames", 1) > 1 ? kFramesFlags
+                                                           : kSingleShotFlags;
+  if (const int rc = check_render_mode_flags(a, mode_flags); rc != 0)
+    return rc;
+  if (&mode_flags == &kServiceFlags) return cmd_render_service(a);
+  if (&mode_flags == &kFramesFlags) return cmd_render_frames(a);
   const std::string dataset = a.get("dataset", "engine");
   const int ranks = a.get_int("ranks", 8);
   const std::string method = a.get("method", "rt_n");
@@ -617,10 +662,6 @@ int cmd_render(const Args& a) {
     std::cerr << "--quality " << quality::rung_name(cfg.quality.max_rung)
               << " needs --frames or --service (stale and blank are "
                  "frame-level rungs)\n";
-    return 2;
-  }
-  if (cfg.quality.degrade_before_shed) {
-    std::cerr << "--degrade-before-shed needs --service\n";
     return 2;
   }
   // Single shot has no pressure history: execute the requested rung
@@ -739,8 +780,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  FlagSet render_flags = kRenderFlags;
+  for (const FlagSet* mode :
+       {&kSingleShotFlags, &kFramesFlags, &kServiceFlags})
+    render_flags.insert(mode->begin(), mode->end());
   const FlagSet* known = cmd == "info"       ? &kNoFlags
-                         : cmd == "render"   ? &kRenderFlags
+                         : cmd == "render"   ? &render_flags
                          : cmd == "schedule" ? &kScheduleFlags
                          : cmd == "predict"  ? &kPredictFlags
                                              : nullptr;

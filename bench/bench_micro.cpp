@@ -5,7 +5,8 @@
 //   * default — google-benchmark suite (args go to the benchmark
 //     library: --benchmark_filter=..., etc.)
 //   * --wallclock — measured-throughput mode for the perf CI gate:
-//     runs each pixel/codec kernel at every SIMD dispatch level this
+//     runs each pixel/codec kernel and the wire CRC-32 (over the
+//     image's raw bytes, 2 per pixel) at every SIMD dispatch level this
 //     machine supports and reports Mpix/s and MB/s per kernel plus
 //     SIMD-over-scalar speedups, plus one whole render stage (P=32
 //     engine 96^3 partials at --image^2, in screen Mpix/s), optionally
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "rtc/comm/frame.hpp"
 #include "rtc/common/flags.hpp"
 #include "rtc/compress/codec.hpp"
 #include "rtc/core/schedule.hpp"
@@ -229,6 +231,7 @@ void measure_level(const WallclockOptions& o, const std::string& level,
   const auto codec = compress::make_codec("trle");
   const compress::BlockGeometry geom{n, 0};
   const auto encoded = codec->encode(src.pixels(), geom);
+  const std::vector<std::byte> raw = img::serialize_pixels(src.pixels());
   std::vector<std::byte> enc_buf;
   std::vector<img::GrayA8> scratch;
 
@@ -256,6 +259,9 @@ void measure_level(const WallclockOptions& o, const std::string& level,
         codec->decode_blend(encoded, dst.pixels(), geom,
                             img::BlendMode::kOver, /*src_front=*/false,
                             scratch);
+      }));
+  add("crc32", measure_mpix_s(pixels, o.repeat, [&] {
+        benchmark::DoNotOptimize(comm::crc32(raw));
       }));
   if (o.blend_threads > 1) {
     img::set_blend_threads(o.blend_threads);

@@ -7,12 +7,14 @@
 # out-of-bounds read/write while doing so.
 #
 # Usage: scripts/check_asan_corpus.sh
-# $BUILD_DIR overrides the build-directory prefix (default: build);
-# the corpus builds into "${BUILD_DIR}-address".
+# $BUILD_DIR overrides the build-directory prefix (default: the
+# repo's build); the corpus builds into "${BUILD_DIR}-address".
 set -euo pipefail
-cd "$(dirname "$0")/.."
-
-DIR="${BUILD_DIR:-build}-address"
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+DIR="${BUILD_DIR:-$ROOT/build}-address"
+# A relative $BUILD_DIR names the caller's directory, not the repo's.
+case "$DIR" in /*) ;; *) DIR="$PWD/$DIR" ;; esac
+cd "$ROOT"
 echo "== malformed-input corpus under RTC_SANITIZE=address =="
 cmake -B "$DIR" -S . -DRTC_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

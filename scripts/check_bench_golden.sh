@@ -10,18 +10,21 @@
 # hard failure, not noise.
 #
 # Usage: scripts/check_bench_golden.sh [build-dir]
-#        (default: $BUILD_DIR, then build)
+#        (default: $BUILD_DIR, then the repo's build/)
 # To regenerate after an *intentional* cost-model change:
 #        scripts/check_bench_golden.sh --update [build-dir]
 set -euo pipefail
-cd "$(dirname "$0")/.."
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 UPDATE=0
 if [ "${1:-}" = "--update" ]; then
   UPDATE=1
   shift
 fi
-BUILD="${1:-${BUILD_DIR:-build}}"
+BUILD="${1:-${BUILD_DIR:-$ROOT/build}}"
+# A relative build dir names the caller's directory, not the repo's.
+case "$BUILD" in /*) ;; *) BUILD="$PWD/$BUILD" ;; esac
+cd "$ROOT"
 GOLDEN=bench/golden
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT

@@ -15,11 +15,15 @@
 #
 # Usage: scripts/check_sanitizers.sh [thread|address|undefined|all]
 # (default: all). $BUILD_DIR overrides the build-directory prefix
-# (default: build), so CI can keep per-job caches apart: the mode
+# (default: the repo's build), so CI can keep per-job caches apart: the mode
 # builds into "${BUILD_DIR}-thread" / "${BUILD_DIR}-address" /
 # "${BUILD_DIR}-undefined".
 set -euo pipefail
-cd "$(dirname "$0")/.."
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+PREFIX="${BUILD_DIR:-$ROOT/build}"
+# A relative $BUILD_DIR names the caller's directory, not the repo's.
+case "$PREFIX" in /*) ;; *) PREFIX="$PWD/$PREFIX" ;; esac
+cd "$ROOT"
 
 MODE="${1:-all}"
 THREAD_TESTS="world_test|frame_test|chaos_test|wire_test|methods_test|fuzz_corpus_test|membership_test|recompose_test|breaker_test|executor_test|hierarchical_test|quality_test|render_test|shearwarp_golden_test|harness_test|render_loop_test"
@@ -30,7 +34,7 @@ run_mode() {
   local san="$1"
   local tests="$2"
   local extra_targets="$3"
-  local dir="${BUILD_DIR:-build}-$san"
+  local dir="$PREFIX-$san"
   echo "== RTC_SANITIZE=$san =="
   cmake -B "$dir" -S . -DRTC_SANITIZE="$san" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

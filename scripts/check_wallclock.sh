@@ -21,18 +21,21 @@
 # heterogeneous runners.
 #
 # Usage: scripts/check_wallclock.sh [build-dir]
-#        (default: $BUILD_DIR, then build)
+#        (default: $BUILD_DIR, then the repo's build/)
 # To re-pin after an intentional change or on a new reference machine:
 #        scripts/check_wallclock.sh --update [build-dir]
 set -euo pipefail
-cd "$(dirname "$0")/.."
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 UPDATE=0
 if [ "${1:-}" = "--update" ]; then
   UPDATE=1
   shift
 fi
-BUILD="${1:-${BUILD_DIR:-build}}"
+BUILD="${1:-${BUILD_DIR:-$ROOT/build}}"
+# A relative build dir names the caller's directory, not the repo's.
+case "$BUILD" in /*) ;; *) BUILD="$PWD/$BUILD" ;; esac
+cd "$ROOT"
 FLOOR=bench/golden/wallclock_floor.json
 OUT="${WALLCLOCK_JSON:-BENCH_wallclock.json}"
 

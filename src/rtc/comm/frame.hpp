@@ -27,7 +27,8 @@ namespace rtc::comm {
 inline constexpr std::uint32_t kFrameMagic = 0x52544346u;  // "RTCF"
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed by
+/// the active dispatch level's simd::Kernels::crc32.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data);
 
 /// Wraps `payload` in a frame headed by `seq`.

@@ -26,10 +26,12 @@ namespace {
 
 SimdLevel probe_cpu() {
   // RTC_SIMD_HAS_AVX2 is set by CMake only when the AVX2 TU was
-  // actually built with -mavx2; without it the avx2 table aliases
-  // scalar and reporting kAvx2 would promise a speedup we can't give.
+  // actually built with -mavx2 -mpclmul; without it the avx2 table
+  // aliases scalar and reporting kAvx2 would promise a speedup we can't
+  // give. The level's CRC-32 folds with PCLMULQDQ, so it needs both.
 #if (defined(__x86_64__) || defined(_M_X64)) && defined(RTC_SIMD_HAS_AVX2)
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul"))
+    return SimdLevel::kAvx2;
 #endif
   return SimdLevel::kScalar;
 }

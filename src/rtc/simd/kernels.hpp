@@ -1,5 +1,6 @@
 // The dispatched kernel table: the per-pixel inner loops of the
-// composition hot path, one implementation per SimdLevel.
+// composition hot path and the per-byte wire checksum, one
+// implementation per SimdLevel.
 //
 // Contract: for identical inputs, every level writes identical bytes.
 // The "over" kernels replicate rtc::img::over()'s integer arithmetic
@@ -43,6 +44,11 @@ using BlankMaskFn = void (*)(const img::GrayA8* px, std::size_t n,
 /// cell. row0/row1 each receive 2*k blended pixels.
 using FusedCellsFn = void (*)(img::GrayA8* row0, img::GrayA8* row1,
                               const std::byte* payload, std::size_t k);
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of n bytes,
+/// continuing from `crc` in zlib's crc32() convention: pass 0 to start,
+/// or a previous result to extend it over the next bytes.
+using Crc32Fn = std::uint32_t (*)(std::uint32_t crc, const std::byte* data,
+                                  std::size_t n);
 
 struct Kernels {
   OverFn over_front;       ///< dst = src OVER dst
@@ -53,6 +59,7 @@ struct Kernels {
   FusedCellsFn fused_cells_over_front;  ///< payload pixels in front
   FusedCellsFn fused_cells_over_back;   ///< payload pixels behind
   FusedCellsFn fused_cells_max;
+  Crc32Fn crc32;
 };
 
 /// Kernel table for one specific level. `level` must not exceed
@@ -67,8 +74,8 @@ struct Kernels {
 
 namespace detail {
 // Per-level tables, defined in kernels_scalar.cpp / kernels_avx2.cpp.
-// The avx2 table aliases scalar when the compiler has no -mavx2 (it is
-// then never selected by dispatch anyway).
+// The avx2 table aliases scalar when the compiler has no -mavx2 and
+// -mpclmul (it is then never selected by dispatch anyway).
 [[nodiscard]] const Kernels& scalar_kernels();
 [[nodiscard]] const Kernels& avx2_kernels();
 }  // namespace detail

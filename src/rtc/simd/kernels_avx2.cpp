@@ -17,10 +17,12 @@
 // (non-premultiplied) inputs exactly as the scalar uint8_t cast does.
 // The fused TRLE cells keep intrinsics: their payload-to-row split is
 // one cross-lane permute, and every portable form measured slower
-// (docs/simd_kernels.md).
+// (docs/simd_kernels.md). The CRC-32 folds with PCLMULQDQ (-mpclmul),
+// which dispatch also requires before it selects this level.
 #include "rtc/simd/kernels.hpp"
 
-#if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__)
+#if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__) && \
+    defined(__PCLMUL__)
 
 #include <bit>
 #include <cstring>
@@ -208,6 +210,73 @@ void fused_cells_max(img::GrayA8* row0, img::GrayA8* row1,
       [](Word s, Word d) { return max(s, d); });
 }
 
+/// CRC-32 state (pre-inverted, as in the bytewise loop) after folding
+/// n bytes, n >= 64 and a multiple of 16: four 128-bit lanes fold 64
+/// bytes per step, are folded into one lane, then the remaining 16-byte
+/// blocks, and the 128-bit remainder is reduced to 32 bits by a 64-bit
+/// fold and a Barrett reduction. The constants are those of Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction" (Intel, 2009) for the reflected polynomial 0xEDB88320,
+/// as zlib and Linux crc32-pclmul use them: fold distances x^k mod P(x)
+/// and the Barrett pair P(x), floor(x^64 / P(x)), all bit-reflected.
+std::uint32_t crc32_fold(std::uint32_t state, const std::byte* p,
+                         std::size_t n) {
+  const auto load16 = [](const std::byte* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  // fold(x, k, y) = x.lo * k.lo ^ x.hi * k.hi ^ y (carry-less).
+  const auto fold = [](__m128i x, __m128i k, __m128i y) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                       _mm_clmulepi64_si128(x, k, 0x11)),
+                         y);
+  };
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 = _mm_xor_si128(load16(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i x2 = load16(p + 16);
+  __m128i x3 = load16(p + 32);
+  __m128i x4 = load16(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = fold(x1, k1k2, load16(p));
+    x2 = fold(x2, k1k2, load16(p + 16));
+    x3 = fold(x3, k1k2, load16(p + 32));
+    x4 = fold(x4, k1k2, load16(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load16(p));
+
+  // 128 -> 64 bits, then 64 -> 32 + 32 for the Barrett step.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_srli_si128(x1, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+/// Folds the 16-byte blocks of inputs of at least 64 bytes; the tail
+/// (and any shorter input) goes through the scalar bytewise table.
+std::uint32_t crc32(std::uint32_t crc, const std::byte* data,
+                    std::size_t n) {
+  const Crc32Fn bytewise = detail::scalar_kernels().crc32;
+  if (n < 64) return bytewise(crc, data, n);
+  const std::size_t folded = n & ~std::size_t{15};
+  crc = ~crc32_fold(~crc, data, folded);
+  return bytewise(crc, data + folded, n - folded);
+}
+
 }  // namespace
 
 namespace detail {
@@ -218,6 +287,7 @@ const Kernels& avx2_kernels() {
       max_blend,       count_non_blank,
       blank_mask,      fused_cells_over_front,
       fused_cells_over_back, fused_cells_max,
+      crc32,
   };
   return k;
 }
@@ -227,7 +297,7 @@ const Kernels& avx2_kernels() {
 
 #else  // no AVX2 at build time: the table aliases scalar and is never
        // selected (detected_level() reports kAvx2 only when this file
-       // was built with -mavx2).
+       // was built with -mavx2 -mpclmul).
 
 namespace rtc::simd::detail {
 const Kernels& avx2_kernels() { return scalar_kernels(); }

@@ -12,6 +12,7 @@ const Kernels& scalar_kernels() {
       scalar::max_blend,       scalar::count_non_blank,
       scalar::blank_mask,      scalar::fused_cells_over_front,
       scalar::fused_cells_over_back, scalar::fused_cells_max,
+      scalar::crc32,
   };
   return k;
 }

@@ -3,6 +3,7 @@
 // by the per-level TUs for their tail loops); not installed API.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -83,6 +84,27 @@ inline void fused_cells_max(img::GrayA8* row0, img::GrayA8* row1,
     d1[0] = img::max_blend(d1[0], cell_px(pay, 2));
     d1[1] = img::max_blend(d1[1], cell_px(pay, 3));
   }
+}
+
+/// Bytewise CRC-32 table for the reflected polynomial 0xEDB88320.
+inline constexpr std::array<std::uint32_t, 256> kCrc32Table = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  return table;
+}();
+
+inline std::uint32_t crc32(std::uint32_t crc, const std::byte* data,
+                           std::size_t n) {
+  std::uint32_t c = ~crc;
+  for (std::size_t i = 0; i < n; ++i)
+    c = kCrc32Table[(c ^ static_cast<std::uint8_t>(data[i])) & 0xffu] ^
+        (c >> 8);
+  return ~c;
 }
 
 }  // namespace rtc::simd::scalar

@@ -8,9 +8,10 @@
 // on both sides of the 64-pixel blank_mask word and the count blocks,
 // misaligned span starts, and adversarial pixel classes, comparing
 // each supported level against the scalar reference with EXPECT_EQ on
-// raw bytes. They also pin codec-level equivalence: TRLE encode must
-// produce the same wire bytes and decode_blend the same image at every
-// level.
+// raw bytes. The CRC-32 kernel gets its own sweep over byte lengths,
+// start offsets and byte classes. They also pin codec-level
+// equivalence: TRLE encode must produce the same wire bytes and
+// decode_blend the same image at every level.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -205,6 +206,72 @@ TEST(SimdKernels, FusedCellsMatchScalarEverywhere) {
               << " cells=" << cells << " class=" << cls;
         }
       }
+    }
+  }
+}
+
+/// CRC-32 input classes: random bytes, all 0x00 and all 0xFF (the
+/// runs where a dropped or doubled fold step is cheapest to miss).
+std::vector<std::byte> make_bytes(int cls, std::size_t n,
+                                  std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) {
+    b = cls == 0   ? static_cast<std::byte>(rng() & 0xff)
+        : cls == 1 ? std::byte{0x00}
+                   : std::byte{0xff};
+  }
+  return out;
+}
+
+/// 0..300 (every 16-byte remainder around the 64-byte fold minimum),
+/// both sides of 1 KiB and of 4 KiB (every remainder), and 1 MiB.
+std::vector<std::size_t> crc_lengths() {
+  std::vector<std::size_t> out;
+  for (std::size_t n = 0; n <= 300; ++n) out.push_back(n);
+  for (std::size_t n = 1023; n <= 1025; ++n) out.push_back(n);
+  for (std::size_t n = 4096; n < 4096 + 16; ++n) out.push_back(n);
+  out.push_back(std::size_t{1} << 20);
+  return out;
+}
+
+TEST(SimdKernels, Crc32MatchesScalarEverywhere) {
+  const simd::Kernels& ref = simd::detail::scalar_kernels();
+  constexpr std::size_t kMaxOffset = 15;
+  for (int cls = 0; cls < 3; ++cls) {
+    const auto all =
+        make_bytes(cls, kMaxOffset + (std::size_t{1} << 20), 5u + u32(cls));
+    for (const SimdLevel level : supported_levels()) {
+      if (level == SimdLevel::kScalar) continue;
+      const simd::Kernels& k = simd::kernels_for(level);
+      for (const std::size_t n : crc_lengths()) {
+        for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+          const std::byte* p = all.data() + offset;
+          ASSERT_EQ(k.crc32(0, p, n), ref.crc32(0, p, n))
+              << "level=" << simd::to_string(level) << " n=" << n
+              << " offset=" << offset << " class=" << cls;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, Crc32ContinuesAcrossSplitsAtEveryLevel) {
+  const auto bytes = make_bytes(0, 777, 42u);
+  const std::uint32_t whole =
+      simd::detail::scalar_kernels().crc32(0, bytes.data(), bytes.size());
+  const char* check = "123456789";
+  for (const SimdLevel level : supported_levels()) {
+    const simd::Kernels& k = simd::kernels_for(level);
+    EXPECT_EQ(k.crc32(0, reinterpret_cast<const std::byte*>(check), 9),
+              0xCBF43926u)
+        << "level=" << simd::to_string(level);
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{63}, std::size_t{64},
+                                  std::size_t{200}, std::size_t{777}}) {
+      const std::uint32_t head = k.crc32(0, bytes.data(), cut);
+      EXPECT_EQ(k.crc32(head, bytes.data() + cut, bytes.size() - cut), whole)
+          << "level=" << simd::to_string(level) << " cut=" << cut;
     }
   }
 }

@@ -3,8 +3,7 @@
 // Every bench accepts:  [--dataset engine|brain|head] [--ranks P]
 //                       [--volume N] [--image S] [--paper-net]
 //                       [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
-//                       [--executor pooled|threaded] [--group-size G]
-//                       [--simd auto|scalar|avx2]
+//                       [--group-size G] [--simd auto|scalar|avx2]
 // plus observability outputs (see docs/observability.md):
 //                       [--json golden.json]      virtual-time numbers,
 //                         17 significant digits — the CI golden gate
@@ -26,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "rtc/comm/executor.hpp"
 #include "rtc/comm/network_model.hpp"
 #include "rtc/common/flags.hpp"
 #include "rtc/simd/dispatch.hpp"
@@ -46,9 +44,6 @@ struct BenchOptions {
   comm::NetworkModel net = comm::sp2_hps_model();
   bool paper_net = false;
   std::string topology;  ///< preset name when --topology was given
-  /// Rank executor for every composition the bench runs. Pooled fibers
-  /// by default — required for the P>=1024 scaling points.
-  comm::ExecutorConfig executor;
   int group_size = 0;       ///< "hier" ranks per group (0 = ceil(sqrt P))
   std::string json_out;     ///< golden virtual-time JSON (--json)
   std::string trace_out;    ///< Perfetto span trace (--trace-out)
@@ -97,15 +92,6 @@ inline BenchOptions parse_options(int argc, char** argv,
                      "or cloud)\n";
         std::exit(2);
       }
-    } else if (a == "--executor") {
-      const std::string v = next();
-      const auto kind = comm::parse_executor_kind(v);
-      if (!kind) {
-        std::cerr << "unknown --executor: " << v
-                  << " (expected pooled or threaded)\n";
-        std::exit(2);
-      }
-      o.executor.kind = *kind;
     } else if (a == "--group-size") {
       o.group_size = next_int();
     } else if (a == "--simd") {
@@ -152,7 +138,6 @@ inline double run_time(const BenchOptions& o, const std::string& method,
   cfg.initial_blocks = blocks;
   cfg.codec = codec;
   cfg.net = o.net;
-  cfg.executor = o.executor;
   cfg.group_size = o.group_size;
   cfg.gather = false;
   return harness::run_composition(cfg, partials).time;

@@ -182,7 +182,6 @@ BENCHMARK(BM_BuildSchedule)->Arg(8)->Arg(32)->Arg(128);
 struct WallclockOptions {
   int image = 512;      ///< square test-image side
   int repeat = 5;       ///< samples per kernel; best throughput wins
-  int blend_threads = 0;  ///< when > 0, also measure the tiled blend
   std::string simd;     ///< restrict to one level ("" = all supported)
   std::string json_out;
 };
@@ -263,15 +262,6 @@ void measure_level(const WallclockOptions& o, const std::string& level,
   add("crc32", measure_mpix_s(pixels, o.repeat, [&] {
         benchmark::DoNotOptimize(comm::crc32(raw));
       }));
-  if (o.blend_threads > 1) {
-    img::set_blend_threads(o.blend_threads);
-    add("over_back_tiled", measure_mpix_s(pixels, o.repeat, [&] {
-          img::blend_in_place_tiled(dst.pixels(), src.pixels(),
-                                    img::BlendMode::kOver,
-                                    /*src_front=*/false);
-        }));
-    img::set_blend_threads(1);
-  }
 }
 
 int wallclock_main(const WallclockOptions& o) {
@@ -418,8 +408,6 @@ int parse_and_run_wallclock(int argc, char** argv) {
       o.image = next_int();
     } else if (a == "--repeat") {
       o.repeat = next_int();
-    } else if (a == "--blend-threads") {
-      o.blend_threads = next_int();
     } else if (a == "--simd") {
       o.simd = next();
     } else if (a == "--json") {

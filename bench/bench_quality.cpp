@@ -9,10 +9,10 @@
 //   * the progressive rung's first light lands strictly before the
 //     refined frame and the refined frame is bit-identical to exact,
 //   * --max-error 0 demotes every rung to exact, byte-identically,
-//   * pooled and threaded executors agree bit-exactly on every rung.
+//   * one worker thread and several agree bit-exactly on every rung.
 //
 // Golden: bench/golden/quality_p16.json (P=16, 48^3 engine, 128x128,
-// bswap/raw — byte-identical across runs and executors).
+// bswap/raw — byte-identical across runs and worker counts).
 #include "bench_common.hpp"
 
 #include <cstring>
@@ -31,27 +31,22 @@ int main(int argc, char** argv) {
   const std::vector<img::Image> partials = bench::bench_partials(o);
 
   const auto run_rung = [&](quality::Rung rung, int max_error,
-                            comm::ExecutorKind kind) {
+                            int workers = 0) {
     harness::CompositionConfig cfg;
     cfg.method = "bswap";
     cfg.gather = true;
     cfg.net = o.net;
-    cfg.executor = o.executor;
-    cfg.executor.kind = kind;
+    cfg.executor.workers = workers;
     cfg.quality.max_rung = rung;
     cfg.quality.max_error = max_error;
     cfg.quality_rung = rung;
     return harness::run_composition(cfg, partials);
   };
 
-  const auto exact =
-      run_rung(quality::Rung::kExact, 255, comm::ExecutorKind::kPooled);
-  const auto approx =
-      run_rung(quality::Rung::kApprox, 255, comm::ExecutorKind::kPooled);
-  const auto prog = run_rung(quality::Rung::kProgressive, 255,
-                             comm::ExecutorKind::kPooled);
-  const auto gated =
-      run_rung(quality::Rung::kApprox, 0, comm::ExecutorKind::kPooled);
+  const auto exact = run_rung(quality::Rung::kExact, 255);
+  const auto approx = run_rung(quality::Rung::kApprox, 255);
+  const auto prog = run_rung(quality::Rung::kProgressive, 255);
+  const auto gated = run_rung(quality::Rung::kApprox, 0);
 
   const auto same = [](const img::Image& a, const img::Image& b) {
     return a.width() == b.width() && a.height() == b.height() &&
@@ -84,10 +79,10 @@ int main(int argc, char** argv) {
   }
   for (const quality::Rung rung :
        {quality::Rung::kApprox, quality::Rung::kProgressive}) {
-    const auto a = run_rung(rung, 255, comm::ExecutorKind::kPooled);
-    const auto b = run_rung(rung, 255, comm::ExecutorKind::kThreaded);
+    const auto a = run_rung(rung, 255, /*workers=*/1);
+    const auto b = run_rung(rung, 255, /*workers=*/4);
     if (a.time != b.time || !same(a.image, b.image)) {
-      std::cerr << "FAIL: executors disagree on rung "
+      std::cerr << "FAIL: worker counts disagree on rung "
                 << quality::rung_name(rung) << "\n";
       return 1;
     }

@@ -12,8 +12,8 @@
 //      being measured), comparing direct / bswap_any / rt against the
 //      two-level "hier" schedule. This section is the golden-gated one:
 //      --json writes its virtual times (scaling_p1024.json in
-//      bench/golden/), and it only runs under the pooled executor —
-//      P=1024 kernel threads is exactly what the fiber pool replaces.
+//      bench/golden/); the fiber pool runs P=1024 ranks on a handful
+//      of worker threads.
 #include "bench_common.hpp"
 
 namespace {
@@ -51,7 +51,6 @@ double timed_at_scale(const bench::BenchOptions& o, const std::string& m,
   cfg.method = m;
   cfg.initial_blocks = blocks;
   cfg.net = o.net;
-  cfg.executor = o.executor;
   cfg.group_size = group_size;
   cfg.gather = false;
   return harness::run_composition(cfg, partials).time;
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
       cfg.method = m;
       cfg.initial_blocks = blocks;
       cfg.net = o.net;
-      cfg.executor = o.executor;
       return harness::run_composition(cfg, partials).time;
     };
 
@@ -111,7 +109,6 @@ int main(int argc, char** argv) {
       cfg.method = m;
       cfg.initial_blocks = blocks;
       cfg.net = o.net;
-      cfg.executor = o.executor;
       return harness::run_composition(cfg, partials).time;
     };
     t2.add_row({std::to_string(p),
@@ -121,13 +118,8 @@ int main(int argc, char** argv) {
   }
   t2.print(std::cout);
 
-  // Large-P trajectory. Thread-per-rank would need 1024 kernel threads
-  // here; the fiber pool runs it on a handful of workers with
-  // bit-identical virtual times, so the trajectory is golden-gateable.
-  if (o.executor.kind != comm::ExecutorKind::kPooled) {
-    std::cout << "\nlarge-P trajectory skipped (needs --executor pooled)\n";
-    return 0;
-  }
+  // Large-P trajectory: the fiber pool runs 1024 ranks on a handful of
+  // workers with bit-identical virtual times, so it is golden-gateable.
   const int scale_image = 256;
   const int hier_group = 32;
   std::cout << "\nlarge P (synthetic partials, image=" << scale_image << "x"

@@ -5,14 +5,14 @@
 // point (open-loop arrivals faster than the pipeline drains), so the
 // admission policy, the batcher and the latency distribution all do
 // real work. Before writing anything the bench *asserts* the service
-// invariants: the run is byte-identical across the pooled and threaded
-// executors (virtual time never depends on host scheduling), the
+// invariants: the run is byte-identical at one and at four worker
+// threads (virtual time never depends on host scheduling), the
 // overload actually shed requests, and the batcher coalesced shared
 // views. Exit 1 if any fails.
 //
 // Golden: bench/golden/service_p32.json (P=32, 48^3 engine, 128x128,
 // 8 sessions x 6 requests @ 200/s, shed-oldest @ cap 2, depth 2,
-// rt_n/3/trle — byte-identical across runs and executors).
+// rt_n/3/trle — byte-identical across runs and worker counts).
 #include "bench_common.hpp"
 
 #include "rtc/service/service.hpp"
@@ -46,16 +46,12 @@ int main(int argc, char** argv) {
   sc.comp.net = o.net;
   sc.comp.group_size = o.group_size;
 
-  sc.comp.executor = o.executor;
+  // Worker-count determinism: the virtual timeline must not depend on
+  // how ranks are scheduled onto host threads.
+  sc.comp.executor.workers = 1;
   const service::ServiceResult res = service::run_service(sc);
-
-  // Cross-executor determinism: the virtual timeline must not depend
-  // on how ranks are scheduled onto host threads.
   service::ServiceConfig other = sc;
-  other.comp.executor.kind =
-      o.executor.kind == comm::ExecutorKind::kPooled
-          ? comm::ExecutorKind::kThreaded
-          : comm::ExecutorKind::kPooled;
+  other.comp.executor.workers = 4;
   const service::ServiceResult res2 = service::run_service(other);
 
   service::print_service(std::cout, sc, res);
@@ -63,7 +59,7 @@ int main(int argc, char** argv) {
   if (res.makespan != res2.makespan ||
       res.deliveries.size() != res2.deliveries.size() ||
       res.latency_percentile(95.0) != res2.latency_percentile(95.0)) {
-    std::cerr << "FAIL: pooled and threaded executors disagree on the "
+    std::cerr << "FAIL: --workers 1 and --workers 4 disagree on the "
                  "virtual timeline\n";
     return 1;
   }

@@ -53,7 +53,7 @@ check_bench() {  # check_bench <bench-binary> <golden-file>
 check_bench bench_table1_model table1_engine_p32.json
 check_bench bench_fig6_methods fig6_engine_p32.json
 check_bench bench_frame_pipeline frame_pipeline_engine_p16.json
-# The large-P trajectory (P up to 1024 on the pooled executor): pins
+# The large-P trajectory (P up to 1024 on the fiber pool): pins
 # direct/bswap_any/rt/hier virtual times at scale.
 check_bench bench_scaling scaling_p1024.json
 # Render-service front end: 8 sessions of open-loop traffic over a

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Builds the comm substrate and the chaos suite under ThreadSanitizer
 # (and optionally AddressSanitizer / UndefinedBehaviorSanitizer) and
-# runs the concurrency-sensitive tests. The World runs one real thread
-# per rank, so TSan is the authoritative race check for the
-# mailbox/death/barrier paths — including the fault-injection ones
-# that crash ranks mid-run. The address and undefined modes also cover
+# runs the concurrency-sensitive tests. The World runs its ranks as
+# fibers handed between the worker threads of a pool, so TSan is the
+# authoritative race check for the mailbox/death/barrier and park/wake
+# paths — including the fault-injection ones that crash ranks mid-run;
+# executor_test sweeps every method from one worker to seven. The address and undefined modes also cover
 # the SIMD kernel/codec suites: vector loads with scalar tails are
 # exactly where an off-by-one reads past a span. The quality-ladder
 # suite runs in every mode: the approximate blend's skip loop and the

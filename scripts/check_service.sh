@@ -8,11 +8,11 @@
 #   * P=32 soak: an overloaded 8-session run exits 0 on every seed in
 #     the sweep, replays byte-identically (full stdout, including the
 #     per-session table and the latency distribution), and is
-#     byte-identical across the pooled and threaded executors;
+#     byte-identical at one and at four worker threads;
 #   * conservation on every cell: arrivals == delivered + dropped,
 #     parsed from the load: line;
-#   * P=1024 smoke: one thousand-rank submission stream on the pooled
-#     executor finishes inside the timeout — sessions are a front end,
+#   * P=1024 smoke: one thousand-rank submission stream on the fiber
+#     pool finishes inside the timeout — sessions are a front end,
 #     not a scalability regression;
 #   * zero-shed identity: with an uncontended queue the service layer
 #     admits everything (0 dropped) — admission is pay-for-use.
@@ -48,44 +48,42 @@ check_load_conservation() {  # <label> <stdout>
   fi
 }
 
-# --- P=32 soak: seed sweep, determinism, executor byte-identity ------
+# --- P=32 soak: seed sweep, determinism, worker-count byte-identity --
 for seed in 1 42 909; do
   label="soak P=32 seed=$seed"
   if ! "${RT[@]}" "${SOAK[@]}" --traffic-seed "$seed" \
-      --executor pooled > "$TMP/pooled.txt" 2>&1; then
+      --workers 1 > "$TMP/w1.txt" 2>&1; then
     echo "FAIL $label  (nonzero exit)"
-    sed 's/^/     /' "$TMP/pooled.txt"; fail=1; continue
+    sed 's/^/     /' "$TMP/w1.txt"; fail=1; continue
   fi
   "${RT[@]}" "${SOAK[@]}" --traffic-seed "$seed" \
-    --executor pooled > "$TMP/pooled2.txt" 2>&1
-  if ! cmp -s "$TMP/pooled.txt" "$TMP/pooled2.txt"; then
+    --workers 1 > "$TMP/w1b.txt" 2>&1
+  if ! cmp -s "$TMP/w1.txt" "$TMP/w1b.txt"; then
     echo "FAIL $label  (replay not byte-identical)"
-    diff "$TMP/pooled.txt" "$TMP/pooled2.txt" || true
+    diff "$TMP/w1.txt" "$TMP/w1b.txt" || true
     fail=1; continue
   fi
   "${RT[@]}" "${SOAK[@]}" --traffic-seed "$seed" \
-    --executor threaded > "$TMP/threaded.txt" 2>&1
-  if ! cmp -s "$TMP/pooled.txt" "$TMP/threaded.txt"; then
-    echo "FAIL $label  (pooled and threaded executors disagree)"
-    diff "$TMP/pooled.txt" "$TMP/threaded.txt" || true
+    --workers 4 > "$TMP/w4.txt" 2>&1
+  if ! cmp -s "$TMP/w1.txt" "$TMP/w4.txt"; then
+    echo "FAIL $label  (--workers 1 and --workers 4 disagree)"
+    diff "$TMP/w1.txt" "$TMP/w4.txt" || true
     fail=1; continue
   fi
-  check_load_conservation "$label" "$(cat "$TMP/pooled.txt")" || continue
-  if ! grep -q 'shed-oldest @ cap 2' "$TMP/pooled.txt" ||
-     ! grep -qE 'dropped \([1-9][0-9]* shed' "$TMP/pooled.txt"; then
+  check_load_conservation "$label" "$(cat "$TMP/w1.txt")" || continue
+  if ! grep -q 'shed-oldest @ cap 2' "$TMP/w1.txt" ||
+     ! grep -qE 'dropped \([1-9][0-9]* shed' "$TMP/w1.txt"; then
     echo "FAIL $label  (overload never engaged admission control)"
-    sed 's/^/     /' "$TMP/pooled.txt"; fail=1; continue
+    sed 's/^/     /' "$TMP/w1.txt"; fail=1; continue
   fi
   echo "ok   $label"
 done
 
 # Distinct seeds must produce distinct traffic (the sweep is not
 # accidentally re-running one seed three times).
-if cmp -s "$TMP/pooled.txt" "$TMP/pooled2.txt" 2>/dev/null; then
-  "${RT[@]}" "${SOAK[@]}" --traffic-seed 1 --executor pooled \
-    > "$TMP/s1.txt" 2>&1
-  "${RT[@]}" "${SOAK[@]}" --traffic-seed 42 --executor pooled \
-    > "$TMP/s42.txt" 2>&1
+if cmp -s "$TMP/w1.txt" "$TMP/w1b.txt" 2>/dev/null; then
+  "${RT[@]}" "${SOAK[@]}" --traffic-seed 1 > "$TMP/s1.txt" 2>&1
+  "${RT[@]}" "${SOAK[@]}" --traffic-seed 42 > "$TMP/s42.txt" 2>&1
   if cmp -s "$TMP/s1.txt" "$TMP/s42.txt"; then
     echo "FAIL seed sensitivity  (seeds 1 and 42 gave identical runs)"
     fail=1
@@ -96,7 +94,7 @@ fi
 
 # --- Zero-shed identity: uncontended queue admits everything ---------
 out=$("${RT[@]}" "${SOAK[@]}" --traffic-seed 1 --queue-cap 64 \
-  --arrival-rate 20 --executor pooled 2>&1) || {
+  --arrival-rate 20 2>&1) || {
   echo "FAIL zero-shed  (nonzero exit)"; fail=1; }
 if ! grep -q ' 0 dropped (0 shed, 0 rejected, 0 expired)' <<<"$out"; then
   echo "FAIL zero-shed  (uncontended run still dropped requests)"
@@ -105,15 +103,15 @@ else
   echo "ok   zero-shed (uncontended run admitted everything)"
 fi
 
-# --- P=1024 pooled smoke: the front end rides the scaled pipeline ----
+# --- P=1024 smoke: the front end rides the scaled pipeline -----------
 # The renderer needs volume_n >= ranks (one slab slice per rank), so
 # this is a real 1024^3 render — the long pole is the renderer, not the
 # service. Two single-request sessions keep it to two submissions.
-label="smoke P=1024 pooled"
+label="smoke P=1024"
 if out=$(timeout 600 "$RTCOMP" render --service --dataset engine \
     --ranks 1024 --image 32 --volume 1024 --method hier --blocks 1 \
     --codec trle --group-size 32 --sessions 2 --requests 1 \
-    --arrival-rate 50 --executor pooled 2>&1); then
+    --arrival-rate 50 2>&1); then
   check_load_conservation "$label" "$out" && echo "ok   $label"
 else
   echo "FAIL $label  (nonzero exit)"

@@ -7,7 +7,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -41,39 +40,12 @@
 
 namespace rtc::comm {
 
-ExecutorKind default_executor_kind() {
-  static const ExecutorKind kind = [] {
-    const char* env = std::getenv("RTC_EXECUTOR");
-    if (env != nullptr) {
-      if (const auto parsed = parse_executor_kind(env)) return *parsed;
-    }
-    return ExecutorKind::kPooled;
-  }();
-  return kind;
-}
-
-std::string to_string(ExecutorKind kind) {
-  return kind == ExecutorKind::kThreaded ? "threaded" : "pooled";
-}
-
-std::optional<ExecutorKind> parse_executor_kind(const std::string& name) {
-  if (name == "threaded") return ExecutorKind::kThreaded;
-  if (name == "pooled") return ExecutorKind::kPooled;
-  return std::nullopt;
-}
+std::string to_string(ExecutorKind /*kind*/) { return "pooled"; }
 
 int default_pool_workers(int ranks) {
   const unsigned hw = std::thread::hardware_concurrency();
   const int cap = hw > 0 ? static_cast<int>(hw) : 4;
   return ranks < cap ? (ranks > 0 ? ranks : 1) : cap;
-}
-
-std::size_t default_fiber_stack_bytes() { return std::size_t{256} * 1024; }
-
-int default_threaded_rank_cap() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int eight_hw = 8 * (hw > 0 ? static_cast<int>(hw) : 1);
-  return eight_hw > 256 ? eight_hw : 256;
 }
 
 namespace {
@@ -146,7 +118,6 @@ struct PooledExecutor::State {
   int live = 0;
   int ranks = 0;
   int workers = 0;
-  std::size_t stack_bytes = 0;
   double grace_seconds = 60.0;
   std::vector<std::unique_ptr<Fiber>> fibers;
   const std::function<void(int)>* rank_main = nullptr;
@@ -174,11 +145,6 @@ PooledExecutor::PooledExecutor(int ranks, const ExecutorConfig& cfg)
   s.ranks = ranks;
   s.workers = cfg.workers > 0 ? cfg.workers : default_pool_workers(ranks);
   if (s.workers > ranks) s.workers = ranks;
-  s.stack_bytes =
-      cfg.stack_bytes > 0 ? cfg.stack_bytes : default_fiber_stack_bytes();
-  // Round the stack up to whole pages so the guard page stays aligned.
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  s.stack_bytes = (s.stack_bytes + page - 1) / page * page;
 }
 
 PooledExecutor::~PooledExecutor() = default;
@@ -189,12 +155,13 @@ void PooledExecutor::set_deadlock_grace(double seconds) {
 
 void PooledExecutor::State::allocate_fiber(int rank) {
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  const std::size_t len = stack_bytes + page;
+  // Round the stack up to whole pages so the guard page stays aligned.
+  const std::size_t stack = (kFiberStackBytes + page - 1) / page * page;
+  const std::size_t len = stack + page;
   void* base = mmap(nullptr, len, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   RTC_CHECK_MSG(base != MAP_FAILED,
-                "mmap of a fiber stack failed — lower ExecutorConfig"
-                "::stack_bytes or the rank count");
+                "mmap of a fiber stack failed — lower the rank count");
   // Guard page at the low end: stack overflow faults instead of
   // silently corrupting the neighboring fiber's stack.
   mprotect(base, page, PROT_NONE);
@@ -205,7 +172,7 @@ void PooledExecutor::State::allocate_fiber(int rank) {
   f->rank = rank;
   f->pool = this;
   f->ctx.stack_base = static_cast<char*>(base) + page;
-  f->ctx.stack_size = stack_bytes;
+  f->ctx.stack_size = stack;
 #ifdef RTC_EXEC_TSAN
   f->ctx.tsan_fiber = __tsan_create_fiber(0);
 #endif

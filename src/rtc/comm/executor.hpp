@@ -1,20 +1,16 @@
-// Rank executors — how the P virtual ranks of a World map onto OS
+// Rank executor — how the P virtual ranks of a World map onto OS
 // threads.
 //
-// The original (threaded) executor spawns one std::thread per rank.
-// That is faithful but caps simulated P near the machine's core count:
-// at P=1024 the scheduler drowns in runnable threads and at P=4096
-// thread-stack reservations alone can kill the process. The pooled
-// executor instead runs every rank as a cooperatively-scheduled fiber
-// (ucontext) multiplexed onto a bounded worker pool: a rank that
-// blocks in recv/barrier *parks* — it yields its worker to another
-// runnable rank — and is re-readied when a message arrives for it.
+// Every rank runs as a cooperatively-scheduled fiber (ucontext)
+// multiplexed onto a bounded worker pool, so P=1024–4096 ranks fit in
+// one process: a rank that blocks in recv/barrier *parks* — it yields
+// its worker to another runnable rank — and is re-readied when a
+// message arrives for it.
 //
-// Virtual time is unaffected by the choice: clocks are advanced only
-// by the message DAG (send/recv/compute charges), never by real
-// scheduling, so pooled and threaded runs are bit-identical. The
-// pooled executor is the default; RTC_EXECUTOR=threaded restores the
-// legacy behavior process-wide.
+// Virtual time is unaffected by the worker count: clocks are advanced
+// only by the message DAG (send/recv/compute charges), never by real
+// scheduling, so a run at workers = 1 is bit-identical to the same run
+// at any other worker count.
 //
 // Park/wake protocol (the part that has to be exactly right):
 //
@@ -33,55 +29,42 @@
 // Deadlock: with every rank a fiber, "all live fibers parked, none
 // ready, none running" is a positive proof that no message inside the
 // run can ever unpark them. The pool honors the World's recv timeout
-// as a grace period (so wall-clock expectations match the threaded
-// executor), then resumes every parked fiber with a timed-out flag;
-// blocked receives surface the same CommError a threaded rank would.
+// as a grace period (external wakes may still arrive), then resumes
+// every parked fiber with a timed-out flag; blocked receives surface a
+// CommError(kTimeout).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 namespace rtc::comm {
 
+/// The one executor there is. Kept as an enum so condition lines that
+/// print the executor name keep compiling.
 enum class ExecutorKind {
-  kThreaded,  ///< one kernel thread per rank (legacy; refuses absurd P)
-  kPooled,    ///< fibers on a bounded worker pool (default)
+  kPooled,  ///< fibers on a bounded worker pool
 };
-
-/// Process-wide default: pooled, unless the RTC_EXECUTOR environment
-/// variable ("threaded" | "pooled") says otherwise. Read once.
-[[nodiscard]] ExecutorKind default_executor_kind();
 
 [[nodiscard]] std::string to_string(ExecutorKind kind);
-[[nodiscard]] std::optional<ExecutorKind> parse_executor_kind(
-    const std::string& name);
 
 struct ExecutorConfig {
-  ExecutorKind kind = default_executor_kind();
+  ExecutorKind kind = ExecutorKind::kPooled;
 
-  /// Pooled: worker threads. 0 = min(P, hardware_concurrency).
+  /// Worker threads. 0 = min(P, hardware_concurrency).
   int workers = 0;
-
-  /// Pooled: per-fiber stack bytes (plus one guard page). 0 = 256 KiB —
-  /// comfortably above what any compositor needs, small enough that
-  /// P=4096 costs ~1 GiB of *reservation* (MAP_NORESERVE: pages are
-  /// only backed when touched).
-  std::size_t stack_bytes = 0;
-
-  /// Threaded: refuse runs with more ranks than this instead of
-  /// oversubscribing the kernel until something breaks opaquely.
-  /// 0 = max(256, 8 * hardware_concurrency).
-  int max_threaded_ranks = 0;
 };
 
-/// Resolved defaults (0 -> concrete value) for the current machine.
+/// Resolved default worker count (0 -> concrete value) for `ranks`.
 [[nodiscard]] int default_pool_workers(int ranks);
-[[nodiscard]] std::size_t default_fiber_stack_bytes();
-[[nodiscard]] int default_threaded_rank_cap();
+
+/// Per-fiber stack bytes (plus one guard page): 256 KiB — comfortably
+/// above what any compositor needs, small enough that P=4096 costs
+/// ~1 GiB of *reservation* (MAP_NORESERVE: pages are only backed when
+/// touched).
+inline constexpr std::size_t kFiberStackBytes = std::size_t{256} * 1024;
 
 /// The fiber pool. One instance lives for the duration of a single
 /// World::run; the World calls wake()/park() from inside rank bodies
@@ -95,7 +78,7 @@ class PooledExecutor {
   PooledExecutor& operator=(const PooledExecutor&) = delete;
 
   /// Grace period (seconds) between detecting a deadlock and breaking
-  /// it — mirrors the threaded executor's per-recv wall timeout.
+  /// it — the World's per-recv wall timeout.
   void set_deadlock_grace(double seconds);
 
   /// Runs rank_main(r) for every rank on the worker pool; returns when

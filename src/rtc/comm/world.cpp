@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "rtc/common/check.hpp"
 #include "rtc/comm/frame.hpp"
@@ -21,7 +19,7 @@ namespace rtc::comm {
 namespace {
 
 /// Internal control-flow signal: a rank reached its scheduled crash
-/// point. Caught by World::run's thread wrapper; never user-visible.
+/// point. Caught by World::run's rank wrapper; never user-visible.
 struct RankCrashSignal {};
 
 std::uint64_t seq_key(int src, std::uint32_t seq) {
@@ -33,7 +31,6 @@ std::uint64_t seq_key(int src, std::uint32_t seq) {
 
 struct World::Mailbox {
   std::mutex mu;
-  std::condition_variable cv;
   // FIFO queue per (src, tag) match key.
   std::map<std::pair<int, int>, std::deque<Envelope>> queues;
 };
@@ -48,7 +45,6 @@ struct World::DeathState {
 
 struct World::BarrierState {
   std::mutex mu;
-  std::condition_variable cv;
   int waiting = 0;
   int dead = 0;  ///< crashed ranks never arrive; don't wait for them
   std::uint64_t generation = 0;
@@ -101,11 +97,7 @@ void World::deliver(int dst, int src, int tag, Envelope e) {
     std::lock_guard<std::mutex> lock(box.mu);
     box.queues[{src, tag}].push_back(std::move(e));
   }
-  // Pooled ranks park in the executor instead of waiting on box.cv.
-  if (pooled_ != nullptr)
-    pooled_->wake(dst);
-  else
-    box.cv.notify_all();
+  executor_->wake(dst);
 }
 
 bool World::is_dead(int rank) const {
@@ -121,12 +113,8 @@ void World::mark_dead(int rank, double at_virtual_time) {
   deaths_->time[static_cast<std::size_t>(rank)] = at_virtual_time;
   deaths_->dead[static_cast<std::size_t>(rank)].store(
       true, std::memory_order_release);
-  // Wake every blocked receiver so dead-peer checks re-run, and release
-  // any barrier that was only waiting for this rank.
-  for (auto& box : mailboxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
-  }
+  // Release any barrier that was only waiting for this rank, then wake
+  // every parked rank so dead-peer and barrier checks re-run.
   {
     BarrierState& b = *barrier_;
     std::lock_guard<std::mutex> lock(b.mu);
@@ -134,10 +122,9 @@ void World::mark_dead(int rank, double at_virtual_time) {
     if (b.waiting > 0 && b.waiting + b.dead >= size_) {
       b.waiting = 0;
       ++b.generation;
-      b.cv.notify_all();
     }
   }
-  if (pooled_ != nullptr) pooled_->wake_all();
+  executor_->wake_all();
 }
 
 std::string World::mailbox_snapshot(int rank) const {
@@ -155,16 +142,15 @@ std::string World::mailbox_snapshot(int rank) const {
   return first ? "empty" : os.str();
 }
 
-std::optional<World::Envelope> World::take_pooled(int rank, int src,
-                                                  int tag,
-                                                  double virtual_now) {
+std::optional<World::Envelope> World::take(int rank, int src, int tag,
+                                           double virtual_now) {
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(rank)];
   const auto started = std::chrono::steady_clock::now();
   for (;;) {
     // Token before predicate: a delivery between the mailbox check and
     // park() bumps the token, so park() returns immediately instead of
     // losing the wakeup.
-    const std::uint64_t token = pooled_->wake_token(rank);
+    const std::uint64_t token = executor_->wake_token(rank);
     {
       std::lock_guard<std::mutex> lock(box.mu);
       const auto it = box.queues.find({src, tag});
@@ -175,7 +161,7 @@ std::optional<World::Envelope> World::take_pooled(int rank, int src,
       }
     }
     if (is_dead(src)) return std::nullopt;
-    if (pooled_->park(rank, token)) {
+    if (executor_->park(rank, token)) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -186,66 +172,7 @@ std::optional<World::Envelope> World::take_pooled(int rank, int src,
   }
 }
 
-std::optional<World::Envelope> World::take(int rank, int src, int tag,
-                                           double virtual_now) {
-  if (pooled_ != nullptr) return take_pooled(rank, src, tag, virtual_now);
-  Mailbox& box = *mailboxes_[static_cast<std::size_t>(rank)];
-  std::unique_lock<std::mutex> lock(box.mu);
-  auto ready = [&] {
-    auto it = box.queues.find({src, tag});
-    return it != box.queues.end() && !it->second.empty();
-  };
-  const auto started = std::chrono::steady_clock::now();
-  const bool woke = box.cv.wait_for(
-      lock, std::chrono::duration<double>(recv_timeout_),
-      [&] { return ready() || is_dead(src); });
-  if (ready()) {
-    auto& q = box.queues[{src, tag}];
-    Envelope e = std::move(q.front());
-    q.pop_front();
-    return e;
-  }
-  if (woke && is_dead(src)) return std::nullopt;
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [key, q] : box.queues) {
-    if (q.empty()) continue;
-    if (!first) os << ", ";
-    first = false;
-    os << "(src=" << key.first << ", tag=" << key.second << "): "
-       << q.size();
-  }
-  throw CommError(CommError::Kind::kTimeout, rank, src, tag, virtual_now,
-                  elapsed, first ? "empty" : os.str());
-}
-
 void World::enter_barrier(Comm& c) {
-  if (pooled_ != nullptr) {
-    enter_barrier_pooled(c);
-    return;
-  }
-  BarrierState& b = *barrier_;
-  std::unique_lock<std::mutex> lock(b.mu);
-  b.max_clock = std::max(b.max_clock, c.clock_);
-  const std::uint64_t gen = b.generation;
-  if (++b.waiting + b.dead >= size_) {
-    b.waiting = 0;
-    ++b.generation;
-    c.clock_ = b.max_clock;
-    // max_clock intentionally persists: clocks are monotone, so the next
-    // barrier's max can only grow.
-    b.cv.notify_all();
-    return;
-  }
-  b.cv.wait(lock, [&] { return b.generation != gen; });
-  c.clock_ = b.max_clock;
-}
-
-void World::enter_barrier_pooled(Comm& c) {
   BarrierState& b = *barrier_;
   std::uint64_t gen = 0;
   {
@@ -256,14 +183,16 @@ void World::enter_barrier_pooled(Comm& c) {
       b.waiting = 0;
       ++b.generation;
       c.clock_ = b.max_clock;
+      // max_clock intentionally persists: clocks are monotone, so the next
+      // barrier's max can only grow.
       lock.unlock();
-      pooled_->wake_all();
+      executor_->wake_all();
       return;
     }
   }
   const auto started = std::chrono::steady_clock::now();
   for (;;) {
-    const std::uint64_t token = pooled_->wake_token(c.rank_);
+    const std::uint64_t token = executor_->wake_token(c.rank_);
     {
       std::lock_guard<std::mutex> lock(b.mu);
       if (b.generation != gen) {
@@ -271,7 +200,7 @@ void World::enter_barrier_pooled(Comm& c) {
         return;
       }
     }
-    if (pooled_->park(c.rank_, token)) {
+    if (executor_->park(c.rank_, token)) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -318,8 +247,8 @@ RunResult World::run(const std::function<void(Comm&)>& body) {
     c.stale_ = stale_ != nullptr ? &stale_->rank(c.rank_) : nullptr;
   }
   if (trace_cfg_.enabled) {
-    // Preallocate every rank's span ring before the threads start so
-    // recording is allocation-free on the rank threads.
+    // Preallocate every rank's span ring before the ranks start so
+    // recording is allocation-free on the rank fibers.
     for (Comm& c : comms) {
       c.trace_.arm(trace_cfg_.capacity);
       c.trace_.set_frame(trace_cfg_.frame);
@@ -334,19 +263,23 @@ RunResult World::run(const std::function<void(Comm&)>& body) {
       // Scheduled death, not an error: mark_dead already ran inside
       // Comm::die(); the stats flag is set after the executor returns.
     } catch (...) {
+      // Peers left blocked on this rank park; the executor's deadlock
+      // breaker resumes them with a timeout.
       errors[static_cast<std::size_t>(r)] = std::current_exception();
-      // Unblock peers stuck in recv/barrier so the run can fail fast.
-      // (Pooled fibers park instead; the deadlock breaker resumes them.)
-      if (pooled_ == nullptr) {
-        for (auto& box : mailboxes_) box->cv.notify_all();
-        barrier_->cv.notify_all();
-      }
     }
   };
-  if (exec_cfg_.kind == ExecutorKind::kPooled)
-    execute_pooled(rank_main);
-  else
-    execute_threaded(rank_main);
+  {
+    PooledExecutor executor(size_, exec_cfg_);
+    executor.set_deadlock_grace(recv_timeout_);
+    executor_ = &executor;
+    try {
+      executor.run(rank_main);
+    } catch (...) {
+      executor_ = nullptr;
+      throw;
+    }
+    executor_ = nullptr;
+  }
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 
@@ -380,41 +313,6 @@ RunResult World::run(const std::function<void(Comm&)>& body) {
     result.stats.ranks.push_back(c.stats_);
   }
   return result;
-}
-
-void World::execute_threaded(const std::function<void(int)>& rank_main) {
-  // One kernel thread per rank does not scale: past a few times the
-  // core count the scheduler thrashes, and thread-stack reservations
-  // can kill the process outright. Refuse loudly instead of limping —
-  // the pooled executor exists precisely for large P.
-  const int cap = exec_cfg_.max_threaded_ranks > 0
-                      ? exec_cfg_.max_threaded_ranks
-                      : default_threaded_rank_cap();
-  RTC_CHECK_MSG(size_ <= cap,
-                "P=" + std::to_string(size_) +
-                    " exceeds the threaded executor's rank cap of " +
-                    std::to_string(cap) +
-                    "; use the pooled executor (the default — "
-                    "--executor pooled / RTC_EXECUTOR=pooled) or raise "
-                    "ExecutorConfig::max_threaded_ranks");
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r)
-    threads.emplace_back([&rank_main, r] { rank_main(r); });
-  for (std::thread& t : threads) t.join();
-}
-
-void World::execute_pooled(const std::function<void(int)>& rank_main) {
-  PooledExecutor pool(size_, exec_cfg_);
-  pool.set_deadlock_grace(recv_timeout_);
-  pooled_ = &pool;
-  try {
-    pool.run(rank_main);
-  } catch (...) {
-    pooled_ = nullptr;
-    throw;
-  }
-  pooled_ = nullptr;
 }
 
 int Comm::size() const {

@@ -2,12 +2,11 @@
 //
 // The paper runs on a 40-node IBM SP2; this machine has neither MPI nor
 // 40 nodes, so the distributed-memory substrate is built here: a World
-// owns P ranks, each with a private mailbox, executed by a pluggable
-// rank executor (executor.hpp) — by default thousands of rank fibers
-// multiplexed onto a bounded worker pool, optionally one kernel thread
-// per rank. Ranks interact only through send/recv — there is no shared
-// image state, so algorithms written against Comm are genuinely
-// message-passing programs.
+// owns P ranks, each with a private mailbox, executed as rank fibers
+// multiplexed onto a bounded worker pool (executor.hpp), so thousands
+// of ranks fit in one process. Ranks interact only through send/recv —
+// there is no shared image state, so algorithms written against Comm
+// are genuinely message-passing programs.
 //
 // Every rank also carries a *virtual clock* advanced by the NetworkModel
 // (see network_model.hpp). Virtual time depends only on the message
@@ -147,7 +146,7 @@ class Comm {
   void note_span(obs::SpanKind kind, int step, std::int64_t bytes = 0,
                  std::int64_t aux = 0);
 
-  /// This rank's wire-buffer freelist (rank-thread private, lock-free).
+  /// This rank's wire-buffer freelist (rank-private, lock-free).
   /// send/recv recycle frame and payload buffers through it; callers
   /// that are done with a received payload should release it back so
   /// the next step's traffic reuses the capacity.
@@ -278,8 +277,8 @@ struct RunResult {
   [[nodiscard]] double makespan() const { return stats.makespan(); }
 };
 
-/// Owns the mailboxes and executes a rank function once per rank on
-/// the configured executor (pooled fibers by default).
+/// Owns the mailboxes and executes a rank function once per rank as a
+/// fiber on the worker pool (executor.hpp).
 class World {
  public:
   World(int size, NetworkModel model);
@@ -291,8 +290,8 @@ class World {
   [[nodiscard]] int size() const { return size_; }
   [[nodiscard]] const NetworkModel& model() const { return model_; }
 
-  /// Runs `body(comm)` once per rank on the configured executor and
-  /// collects per-rank stats. Rethrows the first rank exception.
+  /// Runs `body(comm)` once per rank on the worker pool and collects
+  /// per-rank stats. Rethrows the first rank exception.
   /// A rank crash scheduled by the fault plan is not an exception: the
   /// rank's stats are marked `crashed` and the run completes.
   RunResult run(const std::function<void(Comm&)>& body);
@@ -326,7 +325,7 @@ class World {
 
   /// Arm per-rank span tracing (obs layer) for the next run(): each
   /// rank gets a preallocated ring of cfg.capacity spans, drained into
-  /// RankStats::spans after the rank threads join. With cfg.enabled
+  /// RankStats::spans after the rank fibers finish. With cfg.enabled
   /// false (the default) recording is a no-op and the run's RunStats
   /// are byte-identical to an untraced run.
   void set_trace(const obs::TraceConfig& cfg) { trace_cfg_ = cfg; }
@@ -341,17 +340,10 @@ class World {
   void set_seq_epoch(std::uint32_t epoch);
   [[nodiscard]] std::uint32_t seq_epoch() const { return seq_epoch_; }
 
-  /// Selects the rank executor for subsequent run()s (executor.hpp).
-  /// Pooled (the default) multiplexes ranks as fibers over a bounded
-  /// worker pool, so P=1024–4096 is simulatable; threaded is the
-  /// legacy one-kernel-thread-per-rank path and refuses rank counts
-  /// past cfg.max_threaded_ranks. Virtual times, traces, and images
-  /// are bit-identical across the two — only wall-clock behavior and
-  /// the scalability ceiling differ.
+  /// Sizes the worker pool for subsequent run()s (executor.hpp).
+  /// Virtual times, traces, and images are bit-identical at every
+  /// worker count — only wall-clock behavior differs.
   void set_executor(const ExecutorConfig& cfg) { exec_cfg_ = cfg; }
-  [[nodiscard]] const ExecutorConfig& executor_config() const {
-    return exec_cfg_;
-  }
 
  private:
   friend class Comm;
@@ -372,21 +364,14 @@ class World {
 
   void deliver(int dst, int src, int tag, Envelope e);
   /// Credits `relay` with one forwarded message of `bytes` (atomic;
-  /// folded into RankStats::relay_through_* after the threads join).
+  /// folded into RankStats::relay_through_* after the run).
   void note_relay_through(int relay, std::int64_t bytes);
-  /// Waits for a matching envelope. nullopt: `src` died and no message
-  /// is pending. Throws CommError(kTimeout) on wall-clock deadlock.
+  /// Waits for a matching envelope, parking the calling fiber while
+  /// none is queued. nullopt: `src` died and no message is pending.
+  /// Throws CommError(kTimeout) on wall-clock deadlock.
   std::optional<Envelope> take(int rank, int src, int tag,
                                double virtual_now);
-  /// take() for the pooled executor: parks the calling fiber instead
-  /// of blocking its worker thread.
-  std::optional<Envelope> take_pooled(int rank, int src, int tag,
-                                      double virtual_now);
   void enter_barrier(Comm& c);
-  void enter_barrier_pooled(Comm& c);
-  /// Runs rank_main(r) for every rank on the configured executor.
-  void execute_threaded(const std::function<void(int)>& rank_main);
-  void execute_pooled(const std::function<void(int)>& rank_main);
   void mark_dead(int rank, double at_virtual_time);
   [[nodiscard]] bool is_dead(int rank) const;
   [[nodiscard]] double death_time(int rank) const;
@@ -394,8 +379,8 @@ class World {
 
   int size_;
   NetworkModel model_;
-  ExecutorConfig exec_cfg_;  ///< how ranks execute (default: pooled)
-  PooledExecutor* pooled_ = nullptr;  ///< non-null during a pooled run()
+  ExecutorConfig exec_cfg_;  ///< worker-pool sizing
+  PooledExecutor* executor_ = nullptr;  ///< non-null during run()
   double recv_timeout_ = 60.0;
   double deadline_ = 0.0;  ///< per-frame virtual deadline (0: none)
   StaleStore* stale_ = nullptr;  ///< cross-frame staleness store (not owned)

@@ -160,11 +160,9 @@ CompositionRun run_composition(const CompositionConfig& config,
     const img::PixelSpan full{0, ref.pixel_count()};
     for (int r = 0; r < p; ++r) {
       if (out.stats.ranks[static_cast<std::size_t>(r)].crashed) continue;
-      // Root-side whole-image fold: tile-parallel (byte-identical to
-      // the sequential blend at any blend_threads() count).
-      img::blend_in_place_tiled(
-          ref.view(full), partials[static_cast<std::size_t>(r)].view(full),
-          config.blend, /*src_front=*/false);
+      img::blend_in_place(ref.view(full),
+                          partials[static_cast<std::size_t>(r)].view(full),
+                          config.blend, /*src_front=*/false);
     }
     out.stats.max_pixel_error = img::max_channel_diff(out.image, ref);
   }

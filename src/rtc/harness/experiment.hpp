@@ -33,9 +33,9 @@ struct CompositionConfig {
   std::string codec;            ///< "", "raw", "rle", "trle", "bbox"
   comm::NetworkModel net = comm::sp2_hps_model();
   bool gather = false;  ///< paper's composition time excludes gather
-  /// Rank executor (comm/executor.hpp): pooled fibers by default, so
+  /// Worker-pool sizing for the rank fibers (comm/executor.hpp), so
   /// P=1024–4096 runs without spawning P kernel threads. Virtual times
-  /// are bit-identical across executors.
+  /// are bit-identical at every worker count.
   comm::ExecutorConfig executor;
   /// "hier" only: ranks per node-group (0 = ceil(sqrt(P))) and the
   /// methods run within groups / across group leaders.

@@ -1,13 +1,9 @@
 #include "rtc/image/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <thread>
-#include <vector>
 
 #include "rtc/common/check.hpp"
-#include "rtc/common/flags.hpp"
 #include "rtc/simd/kernels.hpp"
 
 namespace rtc::img {
@@ -46,70 +42,7 @@ void blend_in_place(std::span<GrayA8> dst, std::span<const GrayA8> src,
   }
 }
 
-namespace {
-
-/// Spans below this stay sequential: thread startup costs more than
-/// the blend itself.
-constexpr std::int64_t kMinParallelPixels = std::int64_t{1} << 16;
-
-int initial_blend_threads() {
-  if (const char* env = std::getenv("RTC_BLEND_THREADS");
-      env != nullptr && env[0] != '\0') {
-    if (const auto parsed = flags::parse_int(env);
-        parsed && *parsed >= 1 && *parsed <= 1024) {
-      return static_cast<int>(*parsed);
-    }
-  }
-  return 1;
-}
-
-std::atomic<int>& blend_threads_slot() {
-  static std::atomic<int> slot{initial_blend_threads()};
-  return slot;
-}
-
-}  // namespace
-
-int blend_threads() {
-  return blend_threads_slot().load(std::memory_order_relaxed);
-}
-
-void set_blend_threads(int n) {
-  blend_threads_slot().store(n < 1 ? 1 : n, std::memory_order_relaxed);
-}
-
-void blend_in_place_tiled(std::span<GrayA8> dst,
-                          std::span<const GrayA8> src, BlendMode mode,
-                          bool src_front) {
-  RTC_CHECK(dst.size() == src.size());
-  const std::int64_t n = static_cast<std::int64_t>(dst.size());
-  const int threads =
-      static_cast<int>(std::min<std::int64_t>(blend_threads(),
-                                              n / kMinParallelPixels + 1));
-  if (threads <= 1 || n < kMinParallelPixels) {
-    blend_in_place(dst, src, mode, src_front);
-    return;
-  }
-  const std::int64_t tile = (n + threads - 1) / threads;
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads) - 1);
-  for (int t = 1; t < threads; ++t) {
-    const std::int64_t begin = t * tile;
-    const std::int64_t end = std::min<std::int64_t>(begin + tile, n);
-    if (begin >= end) break;
-    pool.emplace_back([=] {
-      blend_in_place(dst.subspan(static_cast<std::size_t>(begin),
-                                 static_cast<std::size_t>(end - begin)),
-                     src.subspan(static_cast<std::size_t>(begin),
-                                 static_cast<std::size_t>(end - begin)),
-                     mode, src_front);
-    });
-  }
-  blend_in_place(dst.first(static_cast<std::size_t>(std::min(tile, n))),
-                 src.first(static_cast<std::size_t>(std::min(tile, n))),
-                 mode, src_front);
-  for (std::thread& th : pool) th.join();
-}
+int blend_threads() { return 1; }
 
 ApproxBlendStats blend_in_place_approx(std::span<GrayA8> dst,
                                        std::span<const GrayA8> src,
@@ -209,8 +142,8 @@ Image composite_reference(std::span<const Image> parts, BlendMode mode) {
   for (std::size_t r = 1; r < parts.size(); ++r) {
     RTC_CHECK(parts[r].width() == out.width() &&
               parts[r].height() == out.height());
-    blend_in_place_tiled(out.pixels(), parts[r].pixels(), mode,
-                         /*src_front=*/false);
+    blend_in_place(out.pixels(), parts[r].pixels(), mode,
+                   /*src_front=*/false);
   }
   return out;
 }

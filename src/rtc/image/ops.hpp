@@ -31,22 +31,9 @@ void max_in_place(std::span<GrayA8> dst, std::span<const GrayA8> src);
 void blend_in_place(std::span<GrayA8> dst, std::span<const GrayA8> src,
                     BlendMode mode, bool src_front);
 
-/// Threads used by blend_in_place_tiled. Process-wide; initialized
-/// from the RTC_BLEND_THREADS environment variable, default 1
-/// (sequential). Values < 1 clamp to 1.
+/// Always 1: every blend runs on the calling thread. Kept only so
+/// benchmark condition lines that print it keep compiling.
 [[nodiscard]] int blend_threads();
-void set_blend_threads(int n);
-
-/// Tile-parallel blend for the root/owner-side merges that fold whole
-/// partial images (the final gather/reference composite, not the
-/// per-rank block blends inside a simulated composition). Splits the
-/// span into blend_threads() contiguous tiles blended concurrently;
-/// each pixel is touched by exactly one thread, so the result is
-/// byte-identical to blend_in_place at any thread count. Falls back to
-/// the sequential path for small spans or blend_threads() == 1.
-void blend_in_place_tiled(std::span<GrayA8> dst,
-                          std::span<const GrayA8> src, BlendMode mode,
-                          bool src_front);
 
 /// Outcome of an approximate blend: how many pixels were actually
 /// blended versus skipped by opacity-saturation early termination.

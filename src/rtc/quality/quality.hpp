@@ -25,7 +25,7 @@
 // "approximate" is a measured contract, not a hope.
 //
 // Everything here is pure arithmetic over deterministic pixel data:
-// rung selection and both bounds are bit-identical across executors
+// rung selection and both bounds are bit-identical across worker counts
 // and replays.
 #pragma once
 

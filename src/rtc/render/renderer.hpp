@@ -48,21 +48,4 @@ enum class RenderMode {
 /// principal axis; also the slicing axis of the ray-caster).
 [[nodiscard]] int principal_axis(const Vec3& dir);
 
-/// Perspective view for render_raycast_perspective (extension; the
-/// paper-era shear-warp stays orthographic).
-struct PerspectiveCamera {
-  Vec3 eye{};
-  Vec3 target{};        ///< looked-at point (usually the volume center)
-  double fov_deg = 40;  ///< full vertical field of view
-  int width = 512;
-  int height = 512;
-};
-
-/// Perspective ray-caster; converges to render_raycast as the eye
-/// recedes and the field of view narrows (property-tested).
-[[nodiscard]] img::Image render_raycast_perspective(
-    const vol::Volume& v, const vol::TransferFunction& tf,
-    const vol::Brick& region, const PerspectiveCamera& cam,
-    RenderMode mode = RenderMode::kComposite);
-
 }  // namespace rtc::render

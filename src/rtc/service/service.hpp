@@ -23,7 +23,7 @@
 // admission and batching are pure functions of queue state, and each
 // composition is the same collective the single-shot harness runs —
 // so the whole service run (timings, sheds, images) is bit-identical
-// across repeats and across the threaded/pooled executors.
+// across repeats and at any worker-pool size.
 //
 // A zero-shed single-session run delivers images byte-identical to
 // frames::run_sequence over the same views: the front end adds

@@ -12,7 +12,7 @@
 // All randomness is hash-derived (splitmix64 over (seed, session,
 // index) — the same idiom as comm::FaultPlan), so the schedule is a
 // pure function of the config: byte-identical across runs, platforms,
-// and executors, never dependent on generation order.
+// and worker counts, never dependent on generation order.
 //
 // Every session walks the same yaw orbit (yaw0 + step per request,
 // wrapped to [0, 360)); sessions are offset in time, not in path, so

@@ -85,39 +85,6 @@ TEST(Ops, CompositeReferenceFrontToBack) {
   EXPECT_EQ(out.at(2, 0), kBlank);
 }
 
-TEST(Ops, TiledBlendIdenticalToSequentialAtAnyThreadCount) {
-  // Each pixel belongs to exactly one tile, so the tiled blend must be
-  // byte-identical to the sequential one at every thread count —
-  // including counts that don't divide the span and counts larger than
-  // the tile floor allows. 300x300 = 90000 pixels exceeds the
-  // parallel threshold (1 << 16), so threads > 1 genuinely fork.
-  const int before = blend_threads();
-  for (const BlendMode mode : {BlendMode::kOver, BlendMode::kMax}) {
-    for (const bool front : {false, true}) {
-      const Image src = random_image(300, 300, 21, false);
-      Image want = random_image(300, 300, 22, false);
-      const Image dst0 = want;
-      blend_in_place(want.pixels(), src.pixels(), mode, front);
-      for (const int threads : {1, 2, 3, 7}) {
-        set_blend_threads(threads);
-        Image got = dst0;
-        blend_in_place_tiled(got.pixels(), src.pixels(), mode, front);
-        EXPECT_EQ(max_channel_diff(got, want), 0)
-            << "threads=" << threads << " mode=" << static_cast<int>(mode)
-            << " front=" << front;
-      }
-    }
-  }
-  set_blend_threads(before);
-}
-
-TEST(Ops, BlendThreadsClampsBelowOne) {
-  const int before = blend_threads();
-  set_blend_threads(-3);
-  EXPECT_EQ(blend_threads(), 1);
-  set_blend_threads(before);
-}
-
 TEST(Ops, CompositeReferenceAssociatesLeft) {
   std::vector<Image> parts;
   for (int r = 0; r < 5; ++r) parts.push_back(random_image(8, 8, 10u + static_cast<std::uint32_t>(r), true));

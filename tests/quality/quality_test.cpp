@@ -3,7 +3,8 @@
 // across seeds, methods and rank counts the reported a-priori bound
 // dominates the measured max pixel error, --max-error 0 stays
 // byte-identical to the exact path, progressive refines to the exact
-// image when the deadline allows, and both executors agree bit-exactly.
+// image when the deadline allows, and one worker thread and several
+// agree bit-exactly.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -193,14 +194,13 @@ TEST(ApproxBlend, SkipsOnlySaturatedFrontsWithinPerPixelBound) {
 harness::CompositionRun run_rung(const std::vector<img::Image>& partials,
                                  const std::string& method, Rung rung,
                                  const QualityPolicy& pol,
-                                 comm::ExecutorKind kind =
-                                     comm::ExecutorKind::kPooled) {
+                                 int workers = 0) {
   harness::CompositionConfig cfg;
   cfg.method = method;
   cfg.gather = true;
   cfg.quality = pol;
   cfg.quality_rung = rung;
-  cfg.executor.kind = kind;
+  cfg.executor.workers = workers;
   return harness::run_composition(cfg, partials);
 }
 
@@ -307,21 +307,21 @@ TEST(Contract, ProgressiveDeliversCoarseWhenDeadlineExpires) {
   (void)expect_coarse;
 }
 
-TEST(Contract, ExecutorsAgreeBitExactlyOnDegradedRungs) {
+TEST(Contract, WorkerCountsAgreeBitExactlyOnDegradedRungs) {
   const auto partials = make_partials(8, 7300u);
   for (const Rung rung : {Rung::kApprox, Rung::kProgressive}) {
     QualityPolicy pol;
     pol.max_rung = rung;
-    const harness::CompositionRun pooled = run_rung(
-        partials, "bswap", rung, pol, comm::ExecutorKind::kPooled);
-    const harness::CompositionRun threaded = run_rung(
-        partials, "bswap", rung, pol, comm::ExecutorKind::kThreaded);
-    EXPECT_TRUE(images_equal(pooled.image, threaded.image));
-    EXPECT_EQ(pooled.time, threaded.time);
-    EXPECT_EQ(pooled.stats.max_pixel_error, threaded.stats.max_pixel_error);
-    EXPECT_EQ(pooled.stats.error_bound, threaded.stats.error_bound);
-    EXPECT_EQ(pooled.stats.total_approx_skipped_pixels(),
-              threaded.stats.total_approx_skipped_pixels());
+    const harness::CompositionRun one =
+        run_rung(partials, "bswap", rung, pol, /*workers=*/1);
+    const harness::CompositionRun many =
+        run_rung(partials, "bswap", rung, pol, /*workers=*/4);
+    EXPECT_TRUE(images_equal(one.image, many.image));
+    EXPECT_EQ(one.time, many.time);
+    EXPECT_EQ(one.stats.max_pixel_error, many.stats.max_pixel_error);
+    EXPECT_EQ(one.stats.error_bound, many.stats.error_bound);
+    EXPECT_EQ(one.stats.total_approx_skipped_pixels(),
+              many.stats.total_approx_skipped_pixels());
   }
 }
 

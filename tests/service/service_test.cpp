@@ -1,5 +1,5 @@
 // Render-service front end: traffic determinism, admission policies,
-// request batching, end-to-end conservation laws, executor
+// request batching, end-to-end conservation laws, worker-count
 // determinism, the zero-shed ≡ run_sequence identity, and fault
 // isolation to the crash submission's sessions.
 #include <gtest/gtest.h>
@@ -288,12 +288,12 @@ TEST(RunService, ConservationLaws) {
   for (const Delivery& d : res.deliveries) EXPECT_GE(d.latency(), 0.0);
 }
 
-TEST(RunService, DeterministicAcrossExecutors) {
+TEST(RunService, DeterministicAcrossWorkerCounts) {
   ServiceConfig sc = small_service();
   sc.comp.gather = true;
-  sc.comp.executor.kind = comm::ExecutorKind::kPooled;
+  sc.comp.executor.workers = 1;
   const ServiceResult a = run_service(sc);
-  sc.comp.executor.kind = comm::ExecutorKind::kThreaded;
+  sc.comp.executor.workers = 4;
   const ServiceResult b = run_service(sc);
   ASSERT_EQ(a.submissions.size(), b.submissions.size());
   for (std::size_t i = 0; i < a.submissions.size(); ++i) {

@@ -4,8 +4,7 @@
 //   rtcomp render   --dataset engine --ranks 8 --method rt_n --blocks 3
 //                   [--codec trle] [--image 512] [--volume 96]
 //                   [--renderer shearwarp|raycast|splat]
-//                   [--executor pooled|threaded] [--workers N]
-//                   [--simd auto|scalar|avx2] [--blend-threads N]
+//                   [--workers N] [--simd auto|scalar|avx2]
 //                   [--topology flat|sp2|paper|fat-tree|dragonfly|cloud]
 //                   [--group-size G] [--hier-intra M] [--hier-inter M]
 //                   [--fault-seed N] [--fault-drop P] [--fault-corrupt P]
@@ -82,8 +81,8 @@ using FlagSet = std::set<std::string>;
 // sets list it; giving it to another mode is a usage error rather
 // than a silently ignored flag.
 const FlagSet kRenderFlags = {
-    "blend-threads", "blocks", "breaker-cooldown",
-    "circuit-breaker-threshold", "codec", "dataset", "deadline", "executor",
+    "blocks", "breaker-cooldown", "circuit-breaker-threshold", "codec",
+    "dataset", "deadline",
     "fault-corrupt", "fault-crash-after", "fault-crash-at",
     "fault-crash-rank", "fault-delay", "fault-delay-mean", "fault-drop",
     "fault-dup", "fault-jitter", "fault-link", "fault-seed", "fault-slow",
@@ -193,26 +192,16 @@ int cmd_info() {
             << "network presets:     sp2-hps (default), paper-example\n"
             << "topology presets:    flat sp2 paper fat-tree dragonfly "
                "cloud\n"
-            << "executors:           pooled (default; fibers, scales to "
-               "P=4096) threaded\n";
+            << "executor:            fibers on a worker pool (--workers; "
+               "scales to P=4096)\n";
   return 0;
 }
 
 /// Scaling knobs shared by the single-shot and multi-frame render
-/// paths: rank executor, network topology preset, and the "hier"
+/// paths: worker-pool size, network topology preset, and the "hier"
 /// method's two-level schedule (docs/scaling.md). Returns 0, or 2 on
 /// a usage error.
 int parse_scaling_flags(const Args& a, harness::CompositionConfig& cfg) {
-  if (a.has("executor")) {
-    const std::string name = a.get("executor", "");
-    const auto kind = comm::parse_executor_kind(name);
-    if (!kind) {
-      std::cerr << "unknown --executor: " << name
-                << " (expected pooled or threaded)\n";
-      return 2;
-    }
-    cfg.executor.kind = *kind;
-  }
   cfg.executor.workers = a.get_int("workers", 0);
   if (cfg.executor.workers < 0) {
     std::cerr << "bad value for --workers: want >= 0 (0 = one per core)\n";
@@ -245,14 +234,6 @@ int parse_scaling_flags(const Args& a, harness::CompositionConfig& cfg) {
                 << " (expected auto, scalar or avx2)\n";
       return 2;
     }
-  }
-  if (a.has("blend-threads")) {
-    const int n = a.get_int("blend-threads", 1);
-    if (n < 1) {
-      std::cerr << "bad value for --blend-threads: want >= 1\n";
-      return 2;
-    }
-    img::set_blend_threads(n);
   }
   return 0;
 }
